@@ -28,12 +28,8 @@ def edge_colour_indices(g):
         raise AssertionError(f"no free colour at vertex {v}")
 
     def assign(u, v, c):
-        key = edge_key(u, v)
-        old = colour.get(key)
-        if old is not None:
-            del at[u][old]
-            del at[v][old]
-        colour[key] = c
+        # callers unassign an edge before giving it a new colour
+        colour[edge_key(u, v)] = c
         at[u][c] = v
         at[v][c] = u
 
@@ -73,13 +69,6 @@ def edge_colour_indices(g):
         for a, b, col in path:
             assign(a, b, c if col == d else d)
 
-    def fan_prefix_ok(u, fan, upto):
-        # fan[0..upto] is a fan iff the colour of (u, fan[j+1]) is free on fan[j]
-        for j in range(upto):
-            if colour[edge_key(u, fan[j + 1])] in at[fan[j]]:
-                return False
-        return True
-
     def rotate(u, fan, upto, d):
         shifted = [colour[edge_key(u, fan[j + 1])] for j in range(upto)]
         for j in range(upto):
@@ -96,8 +85,10 @@ def edge_colour_indices(g):
             rotate(u, fan, len(fan) - 1, d)
             continue
         invert_path(u, c, d)
+        # The flip swaps only c and d, which no fan edge before the d-edge at u
+        # carries, so the first fan vertex with d free still ends a fan.
         for i, w in enumerate(fan):
-            if d not in at[w] and fan_prefix_ok(u, fan, i):
+            if d not in at[w]:
                 rotate(u, fan, i, d)
                 break
         else:

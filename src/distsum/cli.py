@@ -1,12 +1,15 @@
 """Command-line harness.
 
 Subcommands: palette, gen, order, color, verify, exact, experiment.
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error or a
+refused run (RunError), 141 stdout closed early by its reader (as after
+SIGPIPE), with nothing written to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -102,7 +105,6 @@ def _cmd_color(args, out):
                 fh.write(f"step v={rec.vertex} colour={rec.base_colour} "
                          f"sum={rec.target_sum} options={rec.admissible_count}"
                          f"x{rec.lattice_size} backward={rec.backward_r_count} "
-                         f"fallback={str(rec.fallback).lower()} "
                          f"edges=[{deltas}] comps=[{comps}]\n")
     return 0
 
@@ -263,8 +265,15 @@ def main(argv=None, out=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args, out)
-    except (files.FormatError, GraphError, PaletteError,
+        code = COMMANDS[args.command](args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the flush at interpreter exit is silent.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (files.FormatError, GraphError, PaletteError, recolour.RunError,
             IncompleteColouringError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,3 @@ class TotalColouring:
     def max_colour(self):
         vals = list(self.vertex_colours.values()) + list(self.edge_colours.values())
         return max(vals) if vals else 0
-
-    def copy(self):
-        return TotalColouring(dict(self.vertex_colours), dict(self.edge_colours),
-                              self.params)

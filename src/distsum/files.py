@@ -68,11 +68,6 @@ def parse_graph(pathname):
         return parse_graph_lines(fh.readlines())
 
 
-def write_graph(g, pathname):
-    with open(pathname, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g))
-
-
 def format_graph(g):
     out = [f"p {g.n} {g.m}"]
     out.extend(f"e {u} {v}" for u, v in g.edges)
@@ -86,11 +81,6 @@ def format_colouring(g, colouring, meta):
     out.extend(f"E {u} {v} {colouring.edge_colours[(u, v)]}" for u, v in g.edges)
     out.extend(f"w {v} {colouring.weighted_degree(g, v)}" for v in g.vertices())
     return "\n".join(out) + "\n"
-
-
-def write_colouring(g, colouring, meta, pathname):
-    with open(pathname, "w", encoding="utf-8") as fh:
-        fh.write(format_colouring(g, colouring, meta))
 
 
 def parse_colouring_lines(lines):

@@ -162,7 +162,6 @@ class BackwardStats:
     """Backward-neighbour counts relative to a fixed vertex ordering."""
 
     backward_nbrs: tuple        # per vertex: frozenset of backward neighbours
-    backward_r_nbrs: tuple      # per vertex: frozenset of backward r-neighbours
     backward_r_count: tuple     # per vertex: |backward r-neighbours|
     backward_big_count: tuple   # per vertex: backward neighbours in the big class
     masked_r_count: tuple       # per vertex: r-neighbours inside the supplied mask
@@ -186,17 +185,14 @@ def backward_stats(g, ordering, radius, mask=None, neighbourhoods=None):
     mask = mask or frozenset()
 
     back_n = [frozenset()] * (g.n + 1)
-    back_r = [frozenset()] * (g.n + 1)
     back_r_cnt = [0] * (g.n + 1)
     back_big = [0] * (g.n + 1)
     masked = [0] * (g.n + 1)
     for v in g.vertices():
         back_n[v] = frozenset(u for u in g.adjacency[v] if pos[u] < pos[v])
-        br = frozenset(u for u in neighbourhoods[v] if pos[u] < pos[v])
-        back_r[v] = br
-        back_r_cnt[v] = len(br)
+        back_r_cnt[v] = sum(1 for u in neighbourhoods[v] if pos[u] < pos[v])
         if stats is not None:
             back_big[v] = sum(1 for u in back_n[v] if stats.is_big(u))
         masked[v] = sum(1 for u in neighbourhoods[v] if u in mask)
-    return BackwardStats(tuple(back_n), tuple(back_r), tuple(back_r_cnt),
+    return BackwardStats(tuple(back_n), tuple(back_r_cnt),
                          tuple(back_big), tuple(masked))

@@ -39,10 +39,6 @@ class OrderingCertificate:
     valid: bool = True
     notes: list = field(default_factory=list)
 
-    def failed_vertices(self):
-        return sorted(v for v, res in self.checks.items()
-                      if not all(ok is None or ok for ok in res.values()))
-
 
 def split_threshold(max_degree):
     """Weight threshold separating the low and high groups."""

@@ -10,10 +10,17 @@ backward edge is paid for by the opposite shift on its already-processed
 endpoint, which keeps that endpoint's fixed sum and stays inside its
 four-colour envelope, so nothing settled is ever disturbed.
 
-Below the asymptotic regime the option count can fall short; the step then
-retries with the vertex base colour lifted by whole multiples of the modulus
-(a "fallback"), which preserves correctness but may exceed the nominal
-palette bound.  Fallbacks are counted and reported.
+Counting argument.  The candidate sums for v are base + (sum of its edge
+colours) + i * modulus + j * step, over the admissible bases in
+[1, modulus] and the lattice offsets (i, j).  Every processed r-neighbour
+holds a single target sum and so rules out at most one candidate: the step
+succeeds whenever the distinct candidates outnumber the processed
+r-neighbours.  Offset (0, 0) alone gives one distinct sum per admissible
+base and the other offsets add more; under the certified ordering the
+paper's analysis puts the options (admissible bases times lattice offsets)
+above the backward r-neighbour count.  Each step record keeps those three
+counts, so the margin can be read off.  A step that still finds no free sum
+raises RunError rather than lift a base colour past the modulus.
 """
 
 from __future__ import annotations
@@ -37,13 +44,12 @@ class StepRecord:
     admissible_count: int
     lattice_size: int
     backward_r_count: int
-    fallback: bool = False
 
 
 @dataclass
 class RunTrace:
     steps: list = field(default_factory=list)
-    fallback_count: int = 0
+    fallback_count: int = 0         # always 0; kept for the `fallbacks` fields
     invariant_violations: list = field(default_factory=list)
     base_vertex_colours: dict = field(default_factory=dict)
     base_edge_colours: dict = field(default_factory=dict)
@@ -51,7 +57,7 @@ class RunTrace:
 
 
 class RunError(RuntimeError):
-    """Internal invariant breach during a recolouring run."""
+    """A recolouring step found no free target sum; the run is refused."""
 
 
 def _envelope(anchor, step, modulus):
@@ -60,14 +66,12 @@ def _envelope(anchor, step, modulus):
 
 
 class _Run:
-    def __init__(self, g, radius, params, cert, check_invariants=False,
-                 strict_distance_exclusion=False):
+    def __init__(self, g, radius, params, cert, check_invariants=False):
         self.g = g
         self.radius = radius
         self.params = params
         self.cert = cert
         self.check_invariants = check_invariants
-        self.strict = strict_distance_exclusion
         self.stats = degree_stats(g) if g.max_degree >= 1 else None
         self.nbrs_r = all_r_neighbourhoods(g, radius)
         self.pos = {v: i for i, v in enumerate(cert.ordering)}
@@ -115,13 +119,10 @@ class _Run:
             return -modulus if cu in (a, a + step) else modulus
         return -step if cu in (a, a + modulus) else step
 
-    def _forbidden_residues(self, v, relax=False):
+    def _forbidden_residues(self, v):
         step, modulus = self.params.step, self.params.modulus
         forbidden = set()
-        if self.strict and not relax:
-            opponents = [u for u in self.nbrs_r[v] if u in self.processed]
-        else:
-            opponents = [u for u in self.g.adjacency[v] if u in self.processed]
+        opponents = [u for u in self.g.adjacency[v] if u in self.processed]
         for u in opponents:
             ru = self.anchor[u] % modulus
             forbidden.update(((ru - step) % modulus, ru, (ru + step) % modulus))
@@ -167,14 +168,6 @@ class _Run:
             return rec
 
         forbidden = self._forbidden_residues(v)
-        fallback = False
-        if len(forbidden) >= modulus:
-            # Only reachable with the strict distance-exclusion flag; relax
-            # to adjacent-only exclusions, which properness requires.
-            forbidden = self._forbidden_residues(v, relax=True)
-            fallback = True
-            self.trace.notes.append(f"vertex {v}: strict exclusion relaxed")
-
         groups = self._lattice_groups(v)
         big_pos = len(groups[(modulus, 1)])
         big_neg = len(groups[(modulus, -1)])
@@ -189,24 +182,22 @@ class _Run:
         admissible_count = modulus - len(forbidden)
 
         choice = None
-        lift = 0
-        while choice is None:
-            for base in range(1, modulus + 1):
-                if base % modulus in forbidden:
-                    continue
-                w0 = base + lift + edge_sum
-                for _, _, i, j in offsets:
-                    cand = w0 + i * modulus + j * step
-                    if cand not in taken:
-                        choice = (base + lift, cand, i, j)
-                        break
-                if choice is not None:
+        for base in range(1, modulus + 1):
+            if base % modulus in forbidden:
+                continue
+            w0 = base + edge_sum
+            for _, _, i, j in offsets:
+                cand = w0 + i * modulus + j * step
+                if cand not in taken:
+                    choice = (base, cand, i, j)
                     break
-            if choice is None:
-                lift += modulus
-                fallback = True
-        if lift:
-            fallback = True
+            if choice is not None:
+                break
+        if choice is None:
+            raise RunError(
+                f"vertex {v}: no free target sum among {admissible_count} "
+                f"admissible bases x {len(offsets)} lattice offsets, "
+                f"{len(taken)} sums taken")
 
         base_colour, target, need_big, need_small = choice
         edge_deltas = []
@@ -230,10 +221,8 @@ class _Run:
         self.processed.add(v)
 
         rec = StepRecord(v, base_colour, target, edge_deltas, compensations,
-                         admissible_count, len(offsets), len(taken), fallback)
+                         admissible_count, len(offsets), len(taken))
         self.trace.steps.append(rec)
-        if fallback:
-            self.trace.fallback_count += 1
         if self.check_invariants:
             self._check_state(v)
         return rec
@@ -250,9 +239,8 @@ class _Run:
             cu = col.vertex_colours[u]
             if cu not in _envelope(self.anchor[u], step, modulus):
                 bad(f"after {just_processed}: colour of {u} left its envelope")
-            if self.anchor[u] > modulus and not any(
-                    s.vertex == u and s.fallback for s in self.trace.steps):
-                bad(f"after {just_processed}: lifted anchor at {u} without fallback")
+            if self.anchor[u] > modulus:
+                bad(f"after {just_processed}: anchor of {u} above the modulus")
         for key, base in self.base_edge.items():
             ce = col.edge_colours[key]
             if ce % modulus not in {x % modulus for x in shifted_set(base, step)}:
@@ -277,11 +265,11 @@ class _Run:
                 bad(f"after {just_processed}: adjacent edges at {v} share a residue")
 
 
-def run(g, radius, seed, max_rounds=None, check_invariants=False,
-        strict_distance_exclusion=False):
+def run(g, radius, seed, max_rounds=None, check_invariants=False):
     """Full pipeline: parameters, base colouring, ordering, recolouring.
 
-    Returns (TotalColouring, RunTrace, OrderingCertificate).  Radius 1 is
+    Returns (TotalColouring, RunTrace, OrderingCertificate); raises RunError
+    when a step finds no free target sum.  Radius 1 is
     accepted; the palette arithmetic then uses radius 2 (noted in the trace).
     Identical (graph, radius, seed) inputs give identical outputs.
     """
@@ -296,8 +284,7 @@ def run(g, radius, seed, max_rounds=None, check_invariants=False,
     params = compute_params(eff_degree, eff_radius)
     cert = resample_until_valid(g, eff_radius, seed, max_rounds)
 
-    runner = _Run(g, radius, params, cert, check_invariants,
-                  strict_distance_exclusion)
+    runner = _Run(g, radius, params, cert, check_invariants)
     if radius != eff_radius:
         runner.trace.notes.append(
             f"radius {radius} run with radius-{eff_radius} palette arithmetic")

@@ -155,18 +155,10 @@ def test_criterion_6_ordering_counts():
 
 
 def test_criterion_7_palette_bound(traced_sweep):
-    bad = []
-    fallback_runs = 0
-    for name, g, radius, col, trace, report in traced_sweep:
-        if trace.fallback_count:
-            fallback_runs += 1
-            if not report.passed:
-                bad.append(name)
-        elif col.params is not None and col.max_colour() > col.params.palette_max:
-            bad.append(name)
+    bad = [name for name, g, radius, col, trace, report in traced_sweep
+           if trace.fallback_count or col.max_colour() > col.params.palette_max]
     _report(7, "colour bound", not bad,
-            "fallback in %d/200 runs%s" % (fallback_runs,
-                                           ", bad: %r" % bad[:5] if bad else ""))
+            "200 runs within palette_max" if not bad else "bad: %r" % bad[:5])
 
 
 def test_criterion_8_byte_determinism(tmp_path):

@@ -1,10 +1,15 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from distsum import files
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
+from distsum.recolour import _Run
 
 
 def run_cli(argv):
@@ -119,6 +124,39 @@ def test_emit_trace(tmp_path):
     trace = tpath.read_text().splitlines()
     assert trace[0].startswith("trace vertex_steps=5")
     assert sum(1 for line in trace if line.startswith("step ")) == 5
+
+
+def test_refused_run_exit_code_and_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(_Run, "_forbidden_residues",
+                        lambda self, v: set(range(self.params.modulus)))
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "cycle", "7", "--output", str(gpath)])
+    capsys.readouterr()
+    code, text = run_cli(["color", "--input", str(gpath), "--r", "2",
+                          "--seed", "1"])
+    err = capsys.readouterr().err.splitlines()
+    assert (code, text) == (2, "")
+    assert len(err) == 1 and err[0].startswith("error: vertex ")
+    rows = run_experiment([("cycle", ["7"], 2, 1)])
+    assert rows[1][-1] == "error:RunError"
+
+
+def test_closed_stdout_exits_quietly():
+    # stdout is a pipe whose reader is already gone, as after `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "distsum.cli", "palette", "--delta", "3000",
+             "--r", "2"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_parse_grid():

@@ -94,7 +94,7 @@ def test_degree_stats_partition():
 def test_backward_stats_p3(p3):
     bs = backward_stats(p3, [1, 2, 3], 2)
     assert bs.backward_nbrs[2] == {1}
-    assert bs.backward_r_nbrs[3] == {1, 2}
+    assert bs.backward_r_count[3] == 2
     assert bs.backward_r_count[1] == 0 and bs.backward_nbrs[1] == frozenset()
 
 

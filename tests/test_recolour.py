@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
-from distsum import build_graph, run, verify
-from distsum.recolour import replay
+from distsum import build_graph, compute_params, resample_until_valid, run, verify
+from distsum.recolour import RunError, _Run, replay
 
 from conftest import apsp, random_graph
 
@@ -100,9 +102,9 @@ def test_trace_replay_reproduces_colouring(seed):
 def test_palette_bound_without_fallback():
     g = random_graph(60, 0.08, 9)
     col, trace, _ = run(g, 2, 9)
-    if trace.fallback_count == 0:
-        assert col.max_colour() <= col.params.palette_max
-        assert max(col.vertex_colours.values()) <= 2 * col.params.modulus + col.params.step
+    assert trace.fallback_count == 0
+    assert col.max_colour() <= col.params.palette_max
+    assert max(col.vertex_colours.values()) <= 2 * col.params.modulus + col.params.step
 
 
 def test_sums_distinct_within_radius_only():
@@ -117,12 +119,45 @@ def test_sums_distinct_within_radius_only():
                 assert sums[u] != sums[v]
 
 
-def test_strict_distance_exclusion_mode():
-    g = random_graph(25, 0.15, 3)
-    col, trace, _ = run(g, 2, 3, strict_distance_exclusion=True,
-                        check_invariants=True)
-    assert verify(g, col, 2).passed
-    assert not trace.invariant_violations
+def _half_run(seed):
+    """A checked run stopped after half its ordering."""
+    g = random_graph(30, 0.15, seed)
+    cert = resample_until_valid(g, 2, seed)
+    runner = _Run(g, 2, compute_params(g.max_degree, 2), cert,
+                  check_invariants=True)
+    for v in cert.ordering[:g.n // 2]:
+        runner.process_vertex(v)
+    assert not runner.trace.invariant_violations
+    return runner
+
+
+def test_invariant_checker_reports_corrupted_edge():
+    runner = _half_run(4)
+    key = next((a, b) for a, b in runner.g.edges
+               if a in runner.processed and b in runner.processed)
+    runner.colouring.edge_colours[key] += 1
+    runner._check_state("fault")
+    found = runner.trace.invariant_violations
+    assert f"after fault: edge {key} left its residue class" in found
+    assert f"after fault: sum of {key[0]} drifted from its target" in found
+
+
+def test_invariant_checker_reports_anchor_above_modulus():
+    runner = _half_run(5)
+    v = min(runner.processed)
+    runner.anchor[v] = runner.params.modulus + 1
+    runner._check_state("fault")
+    assert (f"after fault: anchor of {v} above the modulus"
+            in runner.trace.invariant_violations)
+
+
+def test_no_free_sum_raises_run_error(monkeypatch):
+    monkeypatch.setattr(_Run, "_forbidden_residues",
+                        lambda self, v: set(range(self.params.modulus)))
+    started = time.monotonic()
+    with pytest.raises(RunError, match="no free target sum"):
+        run(random_graph(20, 0.2, 5), 2, 5)
+    assert time.monotonic() - started < 1.0
 
 
 def test_step_records_have_option_counts():
