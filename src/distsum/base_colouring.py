@@ -16,84 +16,86 @@ def edge_colour_indices(g):
     rotate a fan prefix.  Always succeeds on simple graphs.  Deterministic:
     edges are processed in sorted order and every choice takes the smallest
     candidate.
+
+    Each vertex keeps its colours twice: at[v] maps a colour to the neighbour
+    across that edge, and the int bitmask used[v] has bit c set for every
+    colour c at v (bit 0 always set, so it is never a candidate).  The free
+    colour of v is the lowest zero bit of used[v], and the next fan vertex is
+    across the lowest colour in used[u] & ~used[last] & ~taken, where taken
+    holds the colours of the fan so far.  Both are the smallest candidates a
+    scan of the colours in ascending order would pick, so every choice, and
+    with it the colouring, is the one that scan makes.
     """
-    ncolours = g.max_degree + 1
-    colour = {}
     at = [dict() for _ in range(g.n + 1)]  # at[v][c] = neighbour across the c-edge
+    used = [1] * (g.n + 1)
 
     def free(v):
-        for c in range(1, ncolours + 1):
-            if c not in at[v]:
-                return c
-        raise AssertionError(f"no free colour at vertex {v}")
-
-    def assign(u, v, c):
-        # callers unassign an edge before giving it a new colour
-        colour[edge_key(u, v)] = c
-        at[u][c] = v
-        at[v][c] = u
-
-    def unassign(u, v):
-        key = edge_key(u, v)
-        old = colour.pop(key)
-        del at[u][old]
-        del at[v][old]
-        return old
-
-    def maximal_fan(u, v):
-        fan = [v]
-        used = {v}
-        while True:
-            last = fan[-1]
-            nxt = None
-            for c in sorted(at[u]):
-                w = at[u][c]
-                if w not in used and c not in at[last]:
-                    nxt = w
-                    break
-            if nxt is None:
-                return fan
-            fan.append(nxt)
-            used.add(nxt)
+        x = used[v]
+        return ((x + 1) & ~x).bit_length() - 1
 
     def invert_path(u, c, d):
         # Maximal path from u alternating colours d, c, d, ...; swap c <-> d.
+        # Inner path vertices keep both colours; each end trades one for the other.
         path = []
         cur, want = u, d
         while want in at[cur]:
             nxt = at[cur][want]
             path.append((cur, nxt, want))
             cur, want = nxt, (c if want == d else d)
-        for a, b, _ in path:
-            unassign(a, b)
+        both = (1 << c) | (1 << d)
         for a, b, col in path:
-            assign(a, b, c if col == d else d)
+            del at[a][col], at[b][col]
+            used[a] ^= both
+            used[b] ^= both
+        for a, b, col in path:
+            new = c if col == d else d
+            at[a][new] = b
+            at[b][new] = a
 
-    def rotate(u, fan, upto, d):
-        shifted = [colour[edge_key(u, fan[j + 1])] for j in range(upto)]
+    def rotate(u, fan, cols, upto, d):
+        # (u, fan[j]) takes the colour of (u, fan[j + 1]); (u, fan[upto]) takes d.
         for j in range(upto):
-            unassign(u, fan[j + 1])
+            w = fan[j + 1]
+            del at[w][cols[j]]
+            used[w] ^= 1 << cols[j]
         for j in range(upto):
-            assign(u, fan[j], shifted[j])
-        assign(u, fan[upto], d)
+            w = fan[j]
+            at[u][cols[j]] = w
+            at[w][cols[j]] = u
+            used[w] |= 1 << cols[j]
+        w = fan[upto]
+        at[u][d] = w
+        at[w][d] = u
+        used[u] |= 1 << d
+        used[w] |= 1 << d
 
     for (u, v) in g.edges:
-        fan = maximal_fan(u, v)
+        fan, cols = [v], []  # cols[j] is the colour of the edge (u, fan[j + 1])
+        taken = 0
+        while True:
+            options = used[u] & ~used[fan[-1]] & ~taken
+            if not options:
+                break
+            c = (options & -options).bit_length() - 1
+            fan.append(at[u][c])
+            cols.append(c)
+            taken |= 1 << c
         c = free(u)
         d = free(fan[-1])
-        if d not in at[u]:
-            rotate(u, fan, len(fan) - 1, d)
+        if not used[u] >> d & 1:
+            rotate(u, fan, cols, len(fan) - 1, d)
             continue
         invert_path(u, c, d)
+        cols = [c if x == d else x for x in cols]
         # The flip swaps only c and d, which no fan edge before the d-edge at u
         # carries, so the first fan vertex with d free still ends a fan.
-        for i, w in enumerate(fan):
-            if d not in at[w]:
-                rotate(u, fan, i, d)
-                break
-        else:
+        upto = next((i for i, w in enumerate(fan) if not used[w] >> d & 1),
+                    None)
+        if upto is None:
             raise AssertionError("fan recolouring found no rotation target")
-    return colour
+        rotate(u, fan, cols, upto, d)
+    colour_of = [{w: c for c, w in across.items()} for across in at]
+    return {(u, v): colour_of[u][v] for u, v in g.edges}
 
 
 def map_indices_to_palette(indices, params):

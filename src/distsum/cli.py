@@ -9,6 +9,7 @@ SIGPIPE), with nothing written to stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import time
@@ -260,17 +261,34 @@ COMMANDS = {
 }
 
 
+def _stdout():
+    """sys.stdout, behind a buffered layer when its own is unbuffered.
+
+    Unbuffered (python -u, PYTHONUNBUFFERED) text output hands each write to
+    the raw descriptor once and drops whatever a pipe did not take, so a
+    reader that quits early goes unnoticed.  A buffered writer keeps writing
+    the rest and so meets the closed pipe as BrokenPipeError.
+    """
+    if not isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        return sys.stdout
+    raw = io.FileIO(sys.stdout.fileno(), "w", closefd=False)
+    return io.TextIOWrapper(io.BufferedWriter(raw), encoding=sys.stdout.encoding,
+                            errors=sys.stdout.errors)
+
+
 def main(argv=None, out=None):
-    out = out or sys.stdout
+    to_stdout = out is None
     parser = build_parser()
     args = parser.parse_args(argv)
+    if to_stdout:
+        out = _stdout()
     try:
         code = COMMANDS[args.command](args, out)
         out.flush()
         return code
     except BrokenPipeError:
         # Point stdout at /dev/null so the flush at interpreter exit is silent.
-        if out is sys.stdout:
+        if to_stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (files.FormatError, GraphError, PaletteError, recolour.RunError,

@@ -4,11 +4,19 @@ Checks raw-colour properness (not the modular variant), weighted-degree
 distinctness for every vertex pair within the radius, and an optional palette
 bound.  Distances come from per-vertex BFS truncated at the radius; nothing
 here depends on how the colouring was produced.
+
+The incidence check costs O(m): one pass over each vertex's incident edge
+colours, which also sums its weighted degree.  Only a vertex whose colours
+repeat is grouped by colour, and each group of two or more edges yields every
+pair in it as an adjacent-edges witness, in the order a scan of all pairs
+would find them.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .graphs import edge_key
 
@@ -76,16 +84,22 @@ def verify(g, colouring, radius, bound=None):
         if ce == vcol[u] or ce == vcol[v]:
             report.proper_incidence = False
             note(("edge-endpoint", (u, v)))
+    sums = {}
     for v in g.vertices():
-        incident = sorted(g.adjacency[v])
-        for i, a in enumerate(incident):
-            for b in incident[i + 1:]:
-                if ecol[edge_key(v, a)] == ecol[edge_key(v, b)]:
-                    report.proper_edges = False
-                    note(("adjacent-edges", (edge_key(v, a), edge_key(v, b))))
+        nbrs = g.adjacency[v]
+        colours = [ecol[edge_key(v, u)] for u in nbrs]
+        sums[v] = vcol[v] + sum(colours)
+        if len(set(colours)) == len(colours):
+            continue
+        report.proper_edges = False
+        by_colour = defaultdict(list)
+        for u, ce in zip(nbrs, colours):
+            by_colour[ce].append(u)
+        clashes = sorted(pair for group in by_colour.values()
+                         for pair in combinations(sorted(group), 2))
+        for a, b in clashes:
+            note(("adjacent-edges", (edge_key(v, a), edge_key(v, b))))
 
-    sums = {v: vcol[v] + sum(ecol[edge_key(v, u)] for u in g.adjacency[v])
-            for v in g.vertices()}
     for v in g.vertices():
         for u in _truncated_bfs(g.adjacency, v, radius):
             if u > v and sums[u] == sums[v]:

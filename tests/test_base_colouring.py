@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from distsum import build_graph, compute_params
@@ -113,3 +117,35 @@ def test_base_colouring_random_mod_proper(seed):
         res = [col.edge_colours[edge_key(v, u)] % mod for u in g.adjacency[v]]
         assert len(set(res)) == len(res)
         assert 1 <= col.vertex_colours[v] <= mod
+
+
+# Golden digests of edge_colour_indices on a fixed set of graphs: a faster fan
+# search must make every choice the same, so every digest stays.
+def _golden_graphs():
+    from distsum.generate import complete, gnp, regular_ish
+    for n, d in ((130, 36), (600, 6), (300, 80)):
+        for s in (1, 2, 3):
+            yield f"regular-ish {n} {d} seed {s}", lambda n=n, d=d, s=s: regular_ish(n, d, s)
+    for k in range(2, 27):
+        yield f"complete {k}", lambda k=k: complete(k)
+    for n in (20, 40, 60):
+        for p in (0.1, 0.3, 0.5, 0.8):
+            for s in range(1, 6):
+                yield f"gnp {n} {p} seed {s}", lambda n=n, p=p, s=s: gnp(n, p, s)
+
+
+def _indices_digest(g, indices):
+    assert set(indices) == set(g.edges)
+    text = "".join(f"{u} {v} {indices[(u, v)]}\n" for u, v in g.edges)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", ["regular-ish", "complete", "gnp"])
+def test_edge_colour_indices_golden(family):
+    expected = json.loads((Path(__file__).parent / "edge_colour_digests.json").read_text())
+    got = {}
+    for name, make in _golden_graphs():
+        if name.startswith(family + " "):
+            g = make()
+            got[name] = _indices_digest(g, edge_colour_indices(g))
+    assert got == {k: v for k, v in expected.items() if k.startswith(family + " ")}

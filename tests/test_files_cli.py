@@ -141,13 +141,17 @@ def test_refused_run_exit_code_and_row(tmp_path, monkeypatch, capsys):
     assert rows[1][-1] == "error:RunError"
 
 
+def _cli_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_exits_quietly():
     # stdout is a pipe whose reader is already gone, as after `| head -1`
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _cli_env()
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "distsum.cli", "palette", "--delta", "3000",
@@ -157,6 +161,27 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_reader_quitting_early_exits_141(unbuffered):
+    # `distsum gen path 200000 | head -1`: the reader leaves mid-write, after
+    # the pipe took part of the output
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "distsum.cli", "gen", "path", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"p 200000 199999\n"
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_parse_grid():

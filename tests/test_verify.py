@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
-from distsum import TotalColouring, build_graph, verify
+from distsum import TotalColouring, build_graph, run, verify
+from distsum.graphs import edge_key
 from distsum.verify import IncompleteColouringError
+
+from conftest import random_graph
 
 
 def test_k2_pass_all_radii(k2):
@@ -60,3 +65,80 @@ def test_distance_respects_components():
     # equal sums across components are fine at any radius
     col = TotalColouring({1: 1, 2: 2, 3: 1, 4: 2}, {(1, 2): 3, (3, 4): 3})
     assert verify(g, col, 10).passed
+
+
+def _properness_oracle(g, col):
+    """Properness violations from a pairwise scan of every two edges at a
+    vertex, in the order verify reports them."""
+    vcol, ecol = col.vertex_colours, col.edge_colours
+    out = []
+    for (u, v) in g.edges:
+        if vcol[u] == vcol[v]:
+            out.append(("adjacent-vertices", (u, v)))
+        if ecol[(u, v)] in (vcol[u], vcol[v]):
+            out.append(("edge-endpoint", (u, v)))
+    for v in g.vertices():
+        incident = sorted(g.adjacency[v])
+        for i, a in enumerate(incident):
+            for b in incident[i + 1:]:
+                if ecol[edge_key(v, a)] == ecol[edge_key(v, b)]:
+                    out.append(("adjacent-edges", (edge_key(v, a), edge_key(v, b))))
+    return out
+
+
+def _checked(g, col, radius):
+    report = verify(g, col, radius)
+    assert [x for x in report.violations if x[0] != "equal-sums"] == \
+        _properness_oracle(g, col)
+    return report
+
+
+def _valid_colouring(seed):
+    g = random_graph(40, 0.2, seed)
+    col, _, _ = run(g, 2, seed)
+    assert verify(g, col, 2).passed
+    return g, col
+
+
+def test_injected_faults_match_pairwise_oracle():
+    g, col = _valid_colouring(3)
+    ecol, vcol = col.edge_colours, col.vertex_colours
+    hub = max(g.vertices(), key=g.degree)
+    a, b, c = sorted(g.adjacency[hub])[:3]
+    for x in (b, c):                      # three-way edge clash at hub
+        ecol[edge_key(hub, x)] = ecol[edge_key(hub, a)]
+    other = next(v for v in g.vertices()  # a second clash, away from hub
+                 if hub not in g.adjacency[v] and v != hub and g.degree(v) >= 2)
+    p, q = sorted(g.adjacency[other])[:2]
+    ecol[edge_key(other, q)] = ecol[edge_key(other, p)]
+    s, t = g.edges[0]                     # vertex clash
+    vcol[t] = vcol[s]
+    y, z = g.edges[-1]                    # endpoint clash
+    ecol[(y, z)] = vcol[z]
+
+    report = _checked(g, col, 2)
+    assert not (report.proper_edges or report.proper_vertices
+                or report.proper_incidence)
+    clashes = [w for kind, w in report.violations if kind == "adjacent-edges"]
+    at_hub = [(edge_key(hub, a), edge_key(hub, b)), (edge_key(hub, a), edge_key(hub, c)),
+              (edge_key(hub, b), edge_key(hub, c))]
+    assert all(pair in clashes for pair in at_hub)
+    assert (edge_key(other, p), edge_key(other, q)) in clashes
+    assert ("adjacent-vertices", (s, t)) in report.violations
+    assert ("edge-endpoint", (y, z)) in report.violations
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_corruptions_match_pairwise_oracle(seed):
+    g, col = _valid_colouring(seed)
+    rng = random.Random(seed)
+    edges, verts = list(g.edges), list(g.vertices())
+    kinds = set()
+    for _ in range(25):
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.7:
+                col.edge_colours[rng.choice(edges)] = col.edge_colours[rng.choice(edges)]
+            else:
+                col.vertex_colours[rng.choice(verts)] = col.edge_colours[rng.choice(edges)]
+        kinds.update(kind for kind, _ in _checked(g, col, 2).violations)
+    assert {"adjacent-edges", "edge-endpoint"} <= kinds
