@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 
 class GraphError(ValueError):
@@ -27,15 +28,22 @@ class Graph:
         edges: sorted tuple of (u, v) pairs with u < v
         adjacency: list indexed by vertex id; adjacency[v] is a frozenset
         max_degree: maximum neighbour-set size over all vertices
+
+    `all_r_neighbourhoods` and `degree_stats` cache their result in
+    `_tables` on first use.  The graph never changes, so a cached table
+    never goes stale, and concurrent readers stay safe: two readers racing
+    on an empty slot both build the same table and either copy is kept.
+    A second Graph with the same edges builds its own tables.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "max_degree")
+    __slots__ = ("n", "edges", "adjacency", "max_degree", "_tables")
 
     def __init__(self, n, edges, adjacency, max_degree):
         self.n = n
         self.edges = edges
         self.adjacency = adjacency
         self.max_degree = max_degree
+        self._tables = {}
 
     def degree(self, v):
         return len(self.adjacency[v])
@@ -83,26 +91,32 @@ def r_neighbourhood(g, v, radius):
     """All vertices u != v within distance `radius` of v (BFS to that depth)."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    adjacency = g.adjacency
     seen = {v}
-    frontier = [v]
-    out = set()
+    frontier = seen
     for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for u in g.adjacency[w]:
-                if u not in seen:
-                    seen.add(u)
-                    out.add(u)
-                    nxt.append(u)
-        if not nxt:
+        # one whole BFS layer per step, in C-level set operations
+        frontier = set(chain.from_iterable(map(adjacency.__getitem__, frontier)))
+        frontier -= seen
+        if not frontier:
             break
-        frontier = nxt
-    return out
+        seen |= frontier
+    seen.discard(v)
+    return seen
 
 
 def all_r_neighbourhoods(g, radius):
-    """Per-vertex r-neighbourhoods as sorted tuples, indexed by vertex id."""
-    return [()] + [tuple(sorted(r_neighbourhood(g, v, radius))) for v in g.vertices()]
+    """Per-vertex r-neighbourhoods as sorted tuples, indexed by vertex id.
+
+    Built once per (graph, radius) and cached on the graph.
+    """
+    key = ("r_neighbourhoods", radius)
+    table = g._tables.get(key)
+    if table is None:
+        table = ((),) + tuple(tuple(sorted(r_neighbourhood(g, v, radius)))
+                              for v in g.vertices())
+        g._tables[key] = table
+    return table
 
 
 def ball(g, sources, radius):
@@ -139,7 +153,13 @@ class DegreeStats:
 
 
 def degree_stats(g):
-    """Compute the small/big partition and per-vertex neighbour statistics."""
+    """Compute the small/big partition and per-vertex neighbour statistics.
+
+    Built once per graph and cached on it.
+    """
+    stats = g._tables.get("degree_stats")
+    if stats is not None:
+        return stats
     if g.max_degree < 1:
         raise ValueError("degree statistics need at least one edge")
     threshold = g.max_degree ** (2.0 / 3.0)
@@ -154,7 +174,9 @@ def degree_stats(g):
             else:
                 small_cnt[v] += 1
             deg_sum[v] += g.degree(u)
-    return DegreeStats(threshold, big, tuple(small_cnt), tuple(big_cnt), tuple(deg_sum))
+    stats = DegreeStats(threshold, big, tuple(small_cnt), tuple(big_cnt), tuple(deg_sum))
+    g._tables["degree_stats"] = stats
+    return stats
 
 
 @dataclass(frozen=True)
@@ -178,21 +200,20 @@ def backward_stats(g, ordering, radius, mask=None, neighbourhoods=None):
         raise ValueError("ordering must be a permutation of the vertices")
     if neighbourhoods is None:
         neighbourhoods = all_r_neighbourhoods(g, radius)
-    pos = [0] * (g.n + 1)
-    for i, v in enumerate(ordering):
-        pos[v] = i
-    stats = degree_stats(g) if g.max_degree >= 1 else None
-    mask = mask or frozenset()
+    big = degree_stats(g).big_set if g.max_degree >= 1 else frozenset()
+    mask = frozenset(mask or ())
 
     back_n = [frozenset()] * (g.n + 1)
     back_r_cnt = [0] * (g.n + 1)
     back_big = [0] * (g.n + 1)
     masked = [0] * (g.n + 1)
-    for v in g.vertices():
-        back_n[v] = frozenset(u for u in g.adjacency[v] if pos[u] < pos[v])
-        back_r_cnt[v] = sum(1 for u in neighbourhoods[v] if pos[u] < pos[v])
-        if stats is not None:
-            back_big[v] = sum(1 for u in back_n[v] if stats.is_big(u))
-        masked[v] = sum(1 for u in neighbourhoods[v] if u in mask)
+    earlier = set()                 # the vertices ordered before v
+    for v in ordering:
+        nbrs_r = neighbourhoods[v]
+        back = back_n[v] = g.adjacency[v] & earlier
+        back_r_cnt[v] = len(earlier.intersection(nbrs_r))
+        back_big[v] = len(back & big)
+        masked[v] = len(mask.intersection(nbrs_r))
+        earlier.add(v)
     return BackwardStats(tuple(back_n), tuple(back_r_cnt),
                          tuple(back_big), tuple(masked))

@@ -66,15 +66,12 @@ def _envelope(anchor, step, modulus):
 
 
 class _Run:
-    def __init__(self, g, radius, params, cert, check_invariants=False):
+    def __init__(self, g, radius, params, check_invariants=False):
         self.g = g
-        self.radius = radius
         self.params = params
-        self.cert = cert
         self.check_invariants = check_invariants
         self.stats = degree_stats(g) if g.max_degree >= 1 else None
         self.nbrs_r = all_r_neighbourhoods(g, radius)
-        self.pos = {v: i for i, v in enumerate(cert.ordering)}
 
         self.colouring = (base_total_colouring(g, params) if g.m
                           else TotalColouring({v: 1 for v in g.vertices()}, {}, params))
@@ -173,30 +170,38 @@ class _Run:
         big_neg = len(groups[(modulus, -1)])
         small_pos = len(groups[(step, 1)])
         small_neg = len(groups[(step, -1)])
-        offsets = sorted(
-            ((abs(i) + abs(j), i * modulus + j * step, i, j)
-             for i in range(-big_neg, big_pos + 1)
-             for j in range(-small_neg, small_pos + 1)))
+        lattice_size = (big_neg + big_pos + 1) * (small_neg + small_pos + 1)
         edge_sum = sum(self.colouring.edge(v, u) for u in g.adjacency[v])
-        taken = {self.target[u] for u in self.nbrs_r[v] if u in self.processed}
+        taken = set(map(self.target.__getitem__,
+                        self.processed.intersection(self.nbrs_r[v])))
         admissible_count = modulus - len(forbidden)
 
+        # Offsets are tried nearest first; (0, 0) leads that order, so it is
+        # tried alone and the rest are sorted only when its sum is taken.
+        offsets = None
         choice = None
         for base in range(1, modulus + 1):
             if base % modulus in forbidden:
                 continue
             w0 = base + edge_sum
-            for _, _, i, j in offsets:
-                cand = w0 + i * modulus + j * step
-                if cand not in taken:
-                    choice = (base, cand, i, j)
+            if w0 not in taken:
+                choice = (base, w0, 0, 0)
+                break
+            if offsets is None:
+                offsets = sorted(
+                    (abs(i) + abs(j), i * modulus + j * step, i, j)
+                    for i in range(-big_neg, big_pos + 1)
+                    for j in range(-small_neg, small_pos + 1))
+            for _, shift, i, j in offsets:
+                if w0 + shift not in taken:
+                    choice = (base, w0 + shift, i, j)
                     break
             if choice is not None:
                 break
         if choice is None:
             raise RunError(
                 f"vertex {v}: no free target sum among {admissible_count} "
-                f"admissible bases x {len(offsets)} lattice offsets, "
+                f"admissible bases x {lattice_size} lattice offsets, "
                 f"{len(taken)} sums taken")
 
         base_colour, target, need_big, need_small = choice
@@ -221,7 +226,7 @@ class _Run:
         self.processed.add(v)
 
         rec = StepRecord(v, base_colour, target, edge_deltas, compensations,
-                         admissible_count, len(offsets), len(taken))
+                         admissible_count, lattice_size, len(taken))
         self.trace.steps.append(rec)
         if self.check_invariants:
             self._check_state(v)
@@ -284,7 +289,7 @@ def run(g, radius, seed, max_rounds=None, check_invariants=False):
     params = compute_params(eff_degree, eff_radius)
     cert = resample_until_valid(g, eff_radius, seed, max_rounds)
 
-    runner = _Run(g, radius, params, cert, check_invariants)
+    runner = _Run(g, radius, params, check_invariants)
     if radius != eff_radius:
         runner.trace.notes.append(
             f"radius {radius} run with radius-{eff_radius} palette arithmetic")

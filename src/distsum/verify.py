@@ -3,7 +3,10 @@
 Checks raw-colour properness (not the modular variant), weighted-degree
 distinctness for every vertex pair within the radius, and an optional palette
 bound.  Distances come from per-vertex BFS truncated at the radius; nothing
-here depends on how the colouring was produced.
+here depends on how the colouring was produced.  Only a vertex whose weighted
+degree some later vertex shares can be the first of an equal-sums pair, so
+the BFS runs only from such a vertex; the witnesses and their order are those
+of a BFS from every vertex.
 
 The incidence check costs O(m): one pass over each vertex's incident edge
 colours, which also sums its weighted degree.  Only a vertex whose colours
@@ -100,9 +103,16 @@ def verify(g, colouring, radius, bound=None):
         for a, b in clashes:
             note(("adjacent-edges", (edge_key(v, a), edge_key(v, b))))
 
+    pending = defaultdict(set)      # sum -> vertices not yet visited
     for v in g.vertices():
+        pending[sums[v]].add(v)
+    for v in g.vertices():
+        later = pending[sums[v]]        # the later vertices sharing v's sum
+        later.discard(v)
+        if not later:
+            continue
         for u in _truncated_bfs(g.adjacency, v, radius):
-            if u > v and sums[u] == sums[v]:
+            if u in later:
                 report.r_distant_ok = False
                 note(("equal-sums", (v, u)))
 

@@ -6,10 +6,35 @@ from distsum import build_graph
 
 
 def random_graph(n, p, seed):
+    return component_graph(n, (n,), p, seed)
+
+
+def component_graph(n, sizes, p, seed):
+    """Random graphs of the given sizes on 1, 2, ..., each edge inside one
+    taken with probability p, then isolated vertices up to n."""
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-             if rng.random() < p]
+    edges, lo = [], 1
+    for size in sizes:
+        hi = lo + size - 1
+        edges += [(u, v) for u in range(lo, hi + 1) for v in range(u + 1, hi + 1)
+                  if rng.random() < p]
+        lo = hi + 1
     return build_graph(n, edges)
+
+
+def golden_graphs():
+    """(name, builder) for the 94 graphs whose edge colourings are pinned by
+    digest in edge_colour_digests.json."""
+    from distsum.generate import complete, gnp, regular_ish
+    for n, d in ((130, 36), (600, 6), (300, 80)):
+        for s in (1, 2, 3):
+            yield f"regular-ish {n} {d} seed {s}", lambda n=n, d=d, s=s: regular_ish(n, d, s)
+    for k in range(2, 27):
+        yield f"complete {k}", lambda k=k: complete(k)
+    for n in (20, 40, 60):
+        for p in (0.1, 0.3, 0.5, 0.8):
+            for s in range(1, 6):
+                yield f"gnp {n} {p} seed {s}", lambda n=n, p=p, s=s: gnp(n, p, s)
 
 
 def apsp(g):

@@ -10,7 +10,7 @@ from distsum.base_colouring import (base_total_colouring, edge_colour_indices,
                                     map_indices_to_palette)
 from distsum.graphs import edge_key
 
-from conftest import random_graph
+from conftest import golden_graphs, random_graph
 
 
 def assert_proper_edges(g, colour):
@@ -121,19 +121,6 @@ def test_base_colouring_random_mod_proper(seed):
 
 # Golden digests of edge_colour_indices on a fixed set of graphs: a faster fan
 # search must make every choice the same, so every digest stays.
-def _golden_graphs():
-    from distsum.generate import complete, gnp, regular_ish
-    for n, d in ((130, 36), (600, 6), (300, 80)):
-        for s in (1, 2, 3):
-            yield f"regular-ish {n} {d} seed {s}", lambda n=n, d=d, s=s: regular_ish(n, d, s)
-    for k in range(2, 27):
-        yield f"complete {k}", lambda k=k: complete(k)
-    for n in (20, 40, 60):
-        for p in (0.1, 0.3, 0.5, 0.8):
-            for s in range(1, 6):
-                yield f"gnp {n} {p} seed {s}", lambda n=n, p=p, s=s: gnp(n, p, s)
-
-
 def _indices_digest(g, indices):
     assert set(indices) == set(g.edges)
     text = "".join(f"{u} {v} {indices[(u, v)]}\n" for u, v in g.edges)
@@ -144,7 +131,7 @@ def _indices_digest(g, indices):
 def test_edge_colour_indices_golden(family):
     expected = json.loads((Path(__file__).parent / "edge_colour_digests.json").read_text())
     got = {}
-    for name, make in _golden_graphs():
+    for name, make in golden_graphs():
         if name.startswith(family + " "):
             g = make()
             got[name] = _indices_digest(g, edge_colour_indices(g))

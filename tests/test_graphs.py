@@ -1,9 +1,15 @@
+import random
+import sys
+import threading
+from bisect import bisect_right
+from collections import deque
+
 import pytest
 
 from distsum import GraphError, build_graph, degree_stats, r_neighbourhood
 from distsum.graphs import all_r_neighbourhoods, backward_stats, ball
 
-from conftest import apsp, random_graph
+from conftest import apsp, component_graph, golden_graphs, random_graph
 
 
 def test_build_single_edge():
@@ -122,3 +128,121 @@ def test_backward_stats_rejects_non_permutation(p3):
 def test_ball(p3):
     assert ball(p3, [1], 1) == {1, 2}
     assert ball(p3, [1], 5) == {1, 2, 3}
+
+
+# -- the table kernels against reference searches ---------------------------
+
+def _reference_balls(g, max_radius):
+    """{r: table} for r in 1..max_radius, from one plain BFS per vertex; a
+    table holds () at index 0 and each vertex's r-neighbours, sorted."""
+    tables = {r: [()] for r in range(1, max_radius + 1)}
+    for v in g.vertices():
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            w = queue.popleft()
+            if dist[w] == max_radius:
+                continue
+            for u in g.adjacency[w]:
+                if u not in dist:
+                    dist[u] = dist[w] + 1
+                    queue.append(u)
+        found = list(dist.values())     # BFS order: distances never decrease
+        order = list(dist)
+        for r, table in tables.items():
+            table.append(tuple(sorted(order[1:bisect_right(found, r)])))
+    return tables
+
+
+def _kernel_graphs(family):
+    """The golden-digest graphs of one family, or for "sparse" graphs with
+    isolated vertices and several components."""
+    if family != "sparse":
+        return [(name, make()) for name, make in golden_graphs()
+                if name.startswith(family + " ")]
+    return [("edgeless 0", build_graph(0, [])), ("edgeless 5", build_graph(5, [])),
+            ("pieces 12", build_graph(12, [(1, 2), (2, 3), (5, 6), (6, 7), (7, 5), (9, 10)]))
+            ] + [(f"pieces 64 seed {seed}", component_graph(64, (20, 25, 15), 0.15, seed))
+                 for seed in range(4)]
+
+
+@pytest.mark.parametrize("family", ["regular-ish", "complete", "gnp", "sparse"])
+def test_r_neighbourhood_tables_match_reference_bfs(family):
+    for name, g in _kernel_graphs(family):
+        reference = _reference_balls(g, 4)
+        for r in (1, 2, 3, 4):
+            assert list(all_r_neighbourhoods(g, r)) == reference[r], (name, r)
+
+
+def _backward_oracle(g, ordering, mask, nbrs_r):
+    """The backward counts by comparing positions in the ordering."""
+    pos = {v: i for i, v in enumerate(ordering)}
+    big = {v for v in g.vertices() if g.degree(v) > g.max_degree ** (2.0 / 3.0)}
+    back = [frozenset()] + [frozenset(u for u in g.adjacency[v] if pos[u] < pos[v])
+                            for v in g.vertices()]
+    return (back,
+            [0] + [sum(1 for u in nbrs_r[v] if pos[u] < pos[v]) for v in g.vertices()],
+            [0] + [sum(1 for u in back[v] if u in big) for v in g.vertices()],
+            [0] + [sum(1 for u in nbrs_r[v] if u in mask) for v in g.vertices()])
+
+
+@pytest.mark.parametrize("family", ["gnp", "sparse"])
+def test_backward_stats_match_position_oracle(family):
+    rng = random.Random(family)
+    for name, g in _kernel_graphs(family):
+        reference = _reference_balls(g, 3)
+        for r in (2, 3):
+            ordering = list(g.vertices())
+            rng.shuffle(ordering)
+            mask = frozenset(v for v in g.vertices() if rng.random() < 0.3)
+            bs = backward_stats(g, ordering, r, mask=mask)
+            got = (list(bs.backward_nbrs), list(bs.backward_r_count),
+                   list(bs.backward_big_count), list(bs.masked_r_count))
+            assert got == _backward_oracle(g, ordering, mask, reference[r]), (name, r)
+
+
+# -- tables cached on the graph ---------------------------------------------
+
+def test_degree_stats_built_once_per_graph():
+    g = random_graph(30, 0.2, 4)
+    assert degree_stats(g) is degree_stats(g)
+
+
+def test_r_neighbourhood_tables_cached_per_radius():
+    g = random_graph(30, 0.1, 5)
+    two, three = all_r_neighbourhoods(g, 2), all_r_neighbourhoods(g, 3)
+    assert two != three
+    assert all_r_neighbourhoods(g, 2) is two
+    assert all_r_neighbourhoods(g, 3) is three
+
+
+def test_second_graph_gets_its_own_tables():
+    g = random_graph(30, 0.1, 6)
+    h = build_graph(g.n, g.edges)
+    assert all_r_neighbourhoods(h, 2) == all_r_neighbourhoods(g, 2)
+    assert all_r_neighbourhoods(h, 2) is not all_r_neighbourhoods(g, 2)
+    assert degree_stats(h) == degree_stats(g)
+    assert degree_stats(h) is not degree_stats(g)
+
+
+def test_concurrent_readers_get_complete_tables():
+    g = random_graph(60, 0.1, 7)
+    expected = (_reference_balls(g, 2)[2], degree_stats(build_graph(g.n, g.edges)))
+    results = []
+
+    def read():
+        results.append((list(all_r_neighbourhoods(g, 2)), degree_stats(g)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8
+    assert list(all_r_neighbourhoods(g, 2)) == expected[0]

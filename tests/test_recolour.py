@@ -123,8 +123,7 @@ def _half_run(seed):
     """A checked run stopped after half its ordering."""
     g = random_graph(30, 0.15, seed)
     cert = resample_until_valid(g, 2, seed)
-    runner = _Run(g, 2, compute_params(g.max_degree, 2), cert,
-                  check_invariants=True)
+    runner = _Run(g, 2, compute_params(g.max_degree, 2), check_invariants=True)
     for v in cert.ordering[:g.n // 2]:
         runner.process_vertex(v)
     assert not runner.trace.invariant_violations

@@ -6,7 +6,7 @@ from distsum import TotalColouring, build_graph, run, verify
 from distsum.graphs import edge_key
 from distsum.verify import IncompleteColouringError
 
-from conftest import random_graph
+from conftest import apsp, component_graph, random_graph
 
 
 def test_k2_pass_all_radii(k2):
@@ -142,3 +142,79 @@ def test_random_corruptions_match_pairwise_oracle(seed):
                 col.vertex_colours[rng.choice(verts)] = col.edge_colours[rng.choice(edges)]
         kinds.update(kind for kind, _ in _checked(g, col, 2).violations)
     assert {"adjacent-edges", "edge-endpoint"} <= kinds
+
+
+# -- equal-sums witnesses against a pairwise oracle -------------------------
+
+def _equal_sums_oracle(g, col, radius):
+    """Every vertex pair u > v at BFS distance <= radius with equal weighted
+    degrees, ordered by v and then by when a BFS from v reaches u."""
+    sums = {v: col.weighted_degree(g, v) for v in g.vertices()}
+    dist = apsp(g)                        # each dist[v] is in BFS order from v
+    rank = {v: {u: i for i, u in enumerate(dist[v])} for v in g.vertices()}
+    pairs = [(v, u) for v in g.vertices() for u in g.vertices()
+             if u > v and sums[u] == sums[v] and dist[v].get(u, radius + 1) <= radius]
+    pairs.sort(key=lambda p: (p[0], rank[p[0]][p[1]]))
+    return [("equal-sums", p) for p in pairs]
+
+
+def _equal_sums(g, col, radius):
+    return [x for x in verify(g, col, radius).violations if x[0] == "equal-sums"]
+
+
+def _random_colouring(g, rng, top):
+    return TotalColouring({v: rng.randint(1, top) for v in g.vertices()},
+                          {key: rng.randint(1, top) for key in g.edges})
+
+
+def _force_equal(g, col, a, b):
+    """Shift b's vertex colour so b's weighted degree equals a's."""
+    col.vertex_colours[b] += col.weighted_degree(g, a) - col.weighted_degree(g, b)
+
+
+def _pairs_at(g, dist, radius, exact):
+    return [(v, u) for v in g.vertices() for u, d in dist[v].items()
+            if u > v and (d == radius + 1 if exact else 1 <= d <= radius)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_equal_sums_match_pairwise_oracle(seed, radius):
+    rng = random.Random(100 * seed + radius)
+    graphs = [random_graph(35, 0.08, seed),
+              component_graph(40, (12, 9, 9, 1), 0.25, seed)]
+    for g in graphs:
+        dist = apsp(g)
+        near = _pairs_at(g, dist, radius, exact=False)
+        far = _pairs_at(g, dist, radius, exact=True)
+        last_pairs = [(v, u) for v, u in near + far if u == g.n]
+        for pool in (near, far, last_pairs):
+            col = _random_colouring(g, rng, 10 ** 6)    # sums almost surely distinct
+            forced = rng.sample(pool, min(3, len(pool)))
+            for a, b in forced:
+                _force_equal(g, col, a, b)
+            got = _equal_sums(g, col, radius)
+            assert got == _equal_sums_oracle(g, col, radius)
+            for a, b in forced:
+                if col.weighted_degree(g, a) == col.weighted_degree(g, b):
+                    assert (("equal-sums", (a, b)) in got) == (dist[a][b] <= radius)
+        # many natural collisions: small colours make sums repeat everywhere
+        col = _random_colouring(g, rng, 3)
+        assert _equal_sums(g, col, radius) == _equal_sums_oracle(g, col, radius)
+
+
+def test_equal_sums_cases_are_exercised():
+    with_last = []                                    # the last vertex has pairs
+    for seed in range(6):
+        g = random_graph(35, 0.08, seed)
+        if any(u == g.n for _, u in _pairs_at(g, apsp(g), 1, exact=False)):
+            with_last.append(seed)
+    assert with_last == [1, 2, 3, 4, 5]               # seed 0: it is isolated
+    g = component_graph(40, (12, 9, 9, 1), 0.25, 0)
+    dist = apsp(g)
+    assert _pairs_at(g, dist, 2, exact=True)          # pairs at distance r + 1
+    assert any(len(dist[v]) == 1 for v in g.vertices())  # an isolated vertex
+    col = _random_colouring(g, random.Random(1), 10 ** 6)
+    a, b = 1, 13                                      # different components
+    _force_equal(g, col, a, b)
+    assert _equal_sums(g, col, 10) == _equal_sums_oracle(g, col, 10) == []
