@@ -7,14 +7,14 @@ from .graphs import (Graph, GraphError, backward_stats, build_graph,
 from .ordering import (OrderingCertificate, check_conditions,
                        resample_until_valid, sample_weights)
 from .palette import (PaletteParams, check_disjoint_shifts, compute_params,
-                      headline_bound, residue)
+                      headline_bound)
 from .recolour import RunTrace, replay, run
 from .verify import VerificationReport, verify
 
 __all__ = [
     "Graph", "GraphError", "build_graph", "degree_stats", "r_neighbourhood",
     "backward_stats", "PaletteParams", "compute_params", "check_disjoint_shifts",
-    "residue", "headline_bound", "TotalColouring", "OrderingCertificate",
+    "headline_bound", "TotalColouring", "OrderingCertificate",
     "sample_weights", "check_conditions", "resample_until_valid",
     "run", "replay", "RunTrace", "verify", "VerificationReport",
     "exact_chi", "is_feasible",

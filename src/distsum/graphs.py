@@ -139,7 +139,8 @@ class DegreeStats:
     """Degree statistics: small/big split and neighbour-degree sums.
 
     A vertex is "big" when its degree strictly exceeds max_degree**(2/3),
-    evaluated in double precision; otherwise it is "small".
+    evaluated in double precision; otherwise it is "small".  An edgeless
+    graph has threshold 0 and no big vertex.
     """
 
     threshold: float
@@ -160,8 +161,6 @@ def degree_stats(g):
     stats = g._tables.get("degree_stats")
     if stats is not None:
         return stats
-    if g.max_degree < 1:
-        raise ValueError("degree statistics need at least one edge")
     threshold = g.max_degree ** (2.0 / 3.0)
     big = frozenset(v for v in g.vertices() if g.degree(v) > threshold)
     small_cnt = [0] * (g.n + 1)
@@ -200,7 +199,7 @@ def backward_stats(g, ordering, radius, mask=None, neighbourhoods=None):
         raise ValueError("ordering must be a permutation of the vertices")
     if neighbourhoods is None:
         neighbourhoods = all_r_neighbourhoods(g, radius)
-    big = degree_stats(g).big_set if g.max_degree >= 1 else frozenset()
+    big = degree_stats(g).big_set
     mask = frozenset(mask or ())
 
     back_n = [frozenset()] * (g.n + 1)

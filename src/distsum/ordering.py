@@ -7,6 +7,12 @@ conditions must hold; whenever some fail, the weights within distance
 2 * radius of a failing vertex are redrawn -- the dependency radius of the
 underlying events -- until all conditions hold or a round budget runs out.
 The certificate records the outcome either way.
+
+The conditions are stated for large max degree and are applied from max
+degree MIN_DEGREE = 2 on, the floor the palette arithmetic uses too.  Below
+it no vertex is checked and every weight is high: at max degree 1 the
+backward_span cap is w < 1, which the later endpoint of every edge fails
+whatever the weights.
 """
 
 from __future__ import annotations
@@ -18,12 +24,12 @@ from dataclasses import dataclass, field
 from .graphs import all_r_neighbourhoods, backward_stats, ball, degree_stats
 
 DEFAULT_MAX_ROUNDS = 1000
+MIN_DEGREE = 2
 
-# Condition keys:
+# Condition keys of OrderingCertificate.checks:
 #   "low_nbrs"       cap on r-neighbours inside the low group
 #   "big_backward"   lower bound on backward big-class neighbours (high group only)
 #   "backward_span"  cap on backward r-neighbour count (high group only)
-CONDITION_KEYS = ("low_nbrs", "big_backward", "backward_span")
 
 
 @dataclass
@@ -41,7 +47,10 @@ class OrderingCertificate:
 
 
 def split_threshold(max_degree):
-    """Weight threshold separating the low and high groups."""
+    """Weight threshold separating the low and high groups (0 below
+    MIN_DEGREE, where every weight is high)."""
+    if max_degree < MIN_DEGREE:
+        return 0.0
     return math.log(max_degree) / max_degree ** (1.0 / 3.0)
 
 
@@ -56,12 +65,15 @@ def derive_ordering(g, weights):
 
 
 def checkable_vertices(g, stats):
-    """Vertices covered by the conditions: enough big-class neighbours."""
+    """Vertices covered by the conditions: enough big-class neighbours (none
+    below MIN_DEGREE)."""
+    if g.max_degree < MIN_DEGREE:
+        return []
     cutoff = g.max_degree ** (1.0 / 3.0) * math.log(g.max_degree)
     return [v for v in g.vertices() if stats.big_nbr_count[v] >= cutoff]
 
 
-def condition_counts(g, weights, radius, neighbourhoods=None):
+def condition_counts(g, weights, radius):
     """The raw quantities behind the conditions, for every checkable vertex.
 
     Returns {vertex: (low_nbr_count, backward_big_count, backward_r_count)},
@@ -70,40 +82,36 @@ def condition_counts(g, weights, radius, neighbourhoods=None):
     """
     if radius < 2:
         raise ValueError("ordering conditions need radius >= 2")
-    if g.max_degree < 1:
-        return {}
     tau = split_threshold(g.max_degree)
     stats = degree_stats(g)
     ordering = derive_ordering(g, weights)
     low = frozenset(v for v in g.vertices() if weights[v] < tau)
     bstats = backward_stats(g, ordering, radius, mask=low,
-                            neighbourhoods=neighbourhoods)
+                            neighbourhoods=all_r_neighbourhoods(g, radius))
     return {v: (bstats.masked_r_count[v], bstats.backward_big_count[v],
                 bstats.backward_r_count[v])
             for v in checkable_vertices(g, stats)}
 
 
-def check_conditions(g, weights, radius, neighbourhoods=None, only=None):
+def check_conditions(g, weights, radius):
     """Evaluate the three ordering conditions.
 
     Returns {vertex: {"low_nbrs": bool, "big_backward": bool|None,
-    "backward_span": bool|None}} for every checkable vertex (or the subset
-    `only`).  The backward conditions are only evaluated for vertices in the
-    high group and are recorded as None otherwise.  Comparisons are plain
+    "backward_span": bool|None}} for every checkable vertex ({} below
+    MIN_DEGREE).  The backward conditions are only evaluated for vertices in
+    the high group and are recorded as None otherwise.  Comparisons are plain
     double-precision, no epsilon slack.
     """
-    counts = condition_counts(g, weights, radius, neighbourhoods)
-    if only is not None:
-        only = set(only)
+    counts = condition_counts(g, weights, radius)
+    if not counts:
+        return {}
     delta = g.max_degree
-    logd = math.log(delta) if delta >= 1 else 0.0
-    tau = split_threshold(delta) if delta >= 1 else 0.0
-    stats = degree_stats(g) if delta >= 1 else None
+    logd = math.log(delta)
+    tau = split_threshold(delta)
+    stats = degree_stats(g)
 
     results = {}
     for v, (low_count, big_back, back_r) in counts.items():
-        if only is not None and v not in only:
-            continue
         wv = weights[v]
         res = {
             "low_nbrs": low_count <= 2 * g.degree(v) * delta ** (radius - 4.0 / 3.0) * logd,
@@ -129,41 +137,35 @@ def resample_until_valid(g, radius, seed, max_rounds=DEFAULT_MAX_ROUNDS):
     """Sample weights and locally resample until all conditions hold.
 
     Each round redraws the weights of every vertex within distance
-    2 * radius of a failing vertex, then re-evaluates the conditions of
-    vertices whose inputs may have changed (distance <= radius of a redraw).
-    A single seeded generator drives all draws, so the certificate is a pure
-    function of (graph, radius, seed, max_rounds).
+    2 * radius of a failing vertex, then re-evaluates every condition.  A
+    condition reads only weights within distance radius of its vertex, so
+    only those near a redraw can change; condition_counts recounts the whole
+    graph either way.  A single seeded generator drives all draws, so the
+    certificate is a pure function of (graph, radius, seed, max_rounds).
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     rng = random.Random(seed)
     weights = {v: rng.random() for v in g.vertices()}
-
-    if g.max_degree < 1:
-        ordering = sorted(g.vertices(), key=lambda v: (weights[v], v))
-        return OrderingCertificate(weights, ordering, frozenset(), frozenset(
-            g.vertices()), 0.0, {}, 0, seed, True, ["edgeless graph"])
-
-    neighbourhoods = all_r_neighbourhoods(g, radius)
-    checks = check_conditions(g, weights, radius, neighbourhoods)
+    checks = check_conditions(g, weights, radius)
     rounds = 0
     failing = _failing(checks)
     while failing and rounds < max_rounds:
-        redraw = ball(g, failing, 2 * radius)
-        for v in sorted(redraw):
+        for v in sorted(ball(g, failing, 2 * radius)):
             weights[v] = rng.random()
         rounds += 1
-        affected = ball(g, redraw, radius)
-        stale = [v for v in checks if v in affected]
-        checks.update(check_conditions(g, weights, radius, neighbourhoods, stale))
+        checks = check_conditions(g, weights, radius)
         failing = _failing(checks)
 
     tau = split_threshold(g.max_degree)
-    ordering = sorted(g.vertices(), key=lambda v: (weights[v], v))
     low = frozenset(v for v in g.vertices() if weights[v] < tau)
     cert = OrderingCertificate(
-        weights, ordering, low, frozenset(set(g.vertices()) - low), tau,
-        checks, rounds, seed, valid=not failing)
+        weights, derive_ordering(g, weights), low,
+        frozenset(g.vertices()) - low, tau, checks, rounds, seed,
+        valid=not failing)
+    if g.max_degree < MIN_DEGREE:
+        cert.notes.append(f"max degree {g.max_degree}: no ordering condition "
+                          f"below max degree {MIN_DEGREE}")
     if failing:
         cert.notes.append(
             f"round budget {max_rounds} exhausted with {len(failing)} failing vertices")

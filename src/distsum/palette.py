@@ -142,9 +142,3 @@ def headline_bound(max_degree, radius):
             + 5.0 * max_degree ** (radius - 4.0 / 3.0) * math.log(max_degree) ** 2
             + 16.0 * max_degree + 6.0)
 
-
-def residue(x, modulus):
-    """Mathematical mod: result in [0, modulus), also for negative x."""
-    if modulus < 1:
-        raise PaletteError(f"modulus must be >= 1, got {modulus}")
-    return x % modulus

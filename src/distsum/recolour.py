@@ -70,13 +70,11 @@ class _Run:
         self.g = g
         self.params = params
         self.check_invariants = check_invariants
-        self.stats = degree_stats(g) if g.max_degree >= 1 else None
+        self.stats = degree_stats(g)
         self.nbrs_r = all_r_neighbourhoods(g, radius)
 
-        self.colouring = (base_total_colouring(g, params) if g.m
-                          else TotalColouring({v: 1 for v in g.vertices()}, {}, params))
-        self.base_edge = dict(self.colouring.edge_colours)  # palette anchor per edge
-        self.alterations = {key: 0 for key in self.base_edge}
+        self.colouring = base_total_colouring(g, params)
+        self.alterations = dict.fromkeys(self.colouring.edge_colours, 0)
         self.anchor = {}
         self.target = {}
         self.processed = set()
@@ -155,15 +153,6 @@ class _Run:
         g, params = self.g, self.params
         step, modulus = params.step, params.modulus
 
-        if g.degree(v) == 0:
-            self.colouring.vertex_colours[v] = 1
-            self.anchor[v] = 1
-            self.target[v] = 1
-            self.processed.add(v)
-            rec = StepRecord(v, 1, 1, [], [], 0, 0, 0)
-            self.trace.steps.append(rec)
-            return rec
-
         forbidden = self._forbidden_residues(v)
         groups = self._lattice_groups(v)
         big_pos = len(groups[(modulus, 1)])
@@ -229,54 +218,62 @@ class _Run:
                          admissible_count, lattice_size, len(taken))
         self.trace.steps.append(rec)
         if self.check_invariants:
-            self._check_state(v)
+            self._check_state(v, g.adjacency[v] | {v})
         return rec
 
     # -- invariants ----------------------------------------------------
 
-    def _check_state(self, just_processed):
+    def _check_state(self, label, vertices):
+        """Record every broken invariant at the given vertices and their
+        incident edges.  A step changes only v, its edges and the
+        neighbours it compensates, so {v} | N(v) covers it."""
         bad = self.trace.invariant_violations.append
         step, modulus = self.params.step, self.params.modulus
-        col = self.colouring
-        for u in self.processed:
-            if col.weighted_degree(self.g, u) != self.target[u]:
-                bad(f"after {just_processed}: sum of {u} drifted from its target")
-            cu = col.vertex_colours[u]
-            if cu not in _envelope(self.anchor[u], step, modulus):
-                bad(f"after {just_processed}: colour of {u} left its envelope")
-            if self.anchor[u] > modulus:
-                bad(f"after {just_processed}: anchor of {u} above the modulus")
-        for key, base in self.base_edge.items():
-            ce = col.edge_colours[key]
-            if ce % modulus not in {x % modulus for x in shifted_set(base, step)}:
-                bad(f"after {just_processed}: edge {key} left its residue class")
-            if not (1 <= ce <= self.params.palette_max):
-                bad(f"after {just_processed}: edge {key} colour {ce} out of range")
-            if self.alterations[key] > 2:
-                bad(f"after {just_processed}: edge {key} altered more than twice")
-        # properness modulo the modulus, ignoring unprocessed vertices
-        for (a, b) in self.g.edges:
-            ce = col.edge_colours[edge_key(a, b)] % modulus
-            for end in (a, b):
-                if end in self.processed and col.vertex_colours[end] % modulus == ce:
-                    bad(f"after {just_processed}: edge {(a, b)} matches vertex {end}")
-            if (a in self.processed and b in self.processed
-                    and col.vertex_colours[a] % modulus == col.vertex_colours[b] % modulus):
-                bad(f"after {just_processed}: adjacent vertices {a},{b} share a residue")
-        for v in self.g.vertices():
-            incident = [col.edge_colours[edge_key(v, u)] % modulus
-                        for u in sorted(self.g.adjacency[v])]
+        vcol, ecol = self.colouring.vertex_colours, self.colouring.edge_colours
+        base_edge = self.trace.base_edge_colours
+        processed = self.processed
+        for u in vertices:
+            if u in processed:
+                if self.colouring.weighted_degree(self.g, u) != self.target[u]:
+                    bad(f"after {label}: sum of {u} drifted from its target")
+                if vcol[u] not in _envelope(self.anchor[u], step, modulus):
+                    bad(f"after {label}: colour of {u} left its envelope")
+                if self.anchor[u] > modulus:
+                    bad(f"after {label}: anchor of {u} above the modulus")
+            incident = []
+            for w in self.g.adjacency[u]:
+                key = edge_key(u, w)
+                ce = ecol[key]
+                rho = ce % modulus
+                incident.append(rho)
+                if w < u and w in vertices:
+                    continue            # checked from w
+                if rho not in {x % modulus for x in shifted_set(base_edge[key], step)}:
+                    bad(f"after {label}: edge {key} left its residue class")
+                if not 1 <= ce <= self.params.palette_max:
+                    bad(f"after {label}: edge {key} colour {ce} out of range")
+                if self.alterations[key] > 2:
+                    bad(f"after {label}: edge {key} altered more than twice")
+                # properness modulo the modulus, ignoring unprocessed vertices
+                for end in key:
+                    if end in processed and vcol[end] % modulus == rho:
+                        bad(f"after {label}: edge {key} matches vertex {end}")
+                if (u in processed and w in processed
+                        and vcol[u] % modulus == vcol[w] % modulus):
+                    bad(f"after {label}: adjacent vertices {key[0]},{key[1]} share a residue")
             if len(set(incident)) != len(incident):
-                bad(f"after {just_processed}: adjacent edges at {v} share a residue")
+                bad(f"after {label}: adjacent edges at {u} share a residue")
 
 
 def run(g, radius, seed, max_rounds=None, check_invariants=False):
     """Full pipeline: parameters, base colouring, ordering, recolouring.
 
     Returns (TotalColouring, RunTrace, OrderingCertificate); raises RunError
-    when a step finds no free target sum.  Radius 1 is
-    accepted; the palette arithmetic then uses radius 2 (noted in the trace).
-    Identical (graph, radius, seed) inputs give identical outputs.
+    when a step finds no free target sum.  With check_invariants, each step
+    is checked at its vertex and neighbours, and every vertex once after the
+    last step; broken invariants go to trace.invariant_violations.  Radius 1
+    is accepted; the palette arithmetic then uses radius 2 (noted in the
+    trace).  Identical (graph, radius, seed) inputs give identical outputs.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -301,6 +298,8 @@ def run(g, radius, seed, max_rounds=None, check_invariants=False):
 
     for v in cert.ordering:
         runner.process_vertex(v)
+    if check_invariants:
+        runner._check_state("all steps", g.vertices())
     return runner.colouring, runner.trace, cert
 
 

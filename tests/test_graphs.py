@@ -84,6 +84,13 @@ def test_degree_stats_boundary_k2(k2):
     assert stats.big_set == frozenset()
 
 
+def test_degree_stats_edgeless():
+    stats = degree_stats(build_graph(3, []))
+    assert stats.threshold == 0.0 and stats.big_set == frozenset()
+    assert stats.small_nbr_count == stats.big_nbr_count == (0, 0, 0, 0)
+    assert stats.nbr_degree_sum == (0, 0, 0, 0)
+
+
 def test_degree_stats_p3_centre(p3):
     stats = degree_stats(p3)
     assert stats.nbr_degree_sum[2] == 2

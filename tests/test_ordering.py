@@ -98,12 +98,12 @@ def test_certificate_partition():
 
 
 def test_budget_exhaustion_flagged():
-    # disjoint edges: the backward-span condition needs a weight >= 1,
-    # which a uniform draw never produces, so the budget must run out
-    g = build_graph(4, [(1, 2), (3, 4)])
-    cert = resample_until_valid(g, 2, 1, max_rounds=20)
+    # P4 at seed 11 needs 5 rounds, one more than the budget
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+    assert resample_until_valid(g, 2, 11).resample_rounds == 5
+    cert = resample_until_valid(g, 2, 11, max_rounds=4)
     assert not cert.valid
-    assert cert.resample_rounds == 20
+    assert cert.resample_rounds == 4
     assert cert.notes
 
 
@@ -111,3 +111,22 @@ def test_edgeless_graph():
     g = build_graph(3, [])
     cert = resample_until_valid(g, 2, 7)
     assert cert.valid and cert.checks == {}
+    assert cert.high_set == frozenset(g.vertices()) and cert.split_threshold == 0.0
+
+
+@pytest.mark.parametrize("edges", [[], [(1, 2)]], ids=["edgeless", "k2"])
+def test_no_conditions_below_max_degree_2(edges):
+    g = build_graph(2, edges)
+    weights = sample_weights(g, 3)
+    assert condition_counts(g, weights, 2) == {}
+    assert check_conditions(g, weights, 2) == {}
+
+
+def test_perfect_matching_valid_without_resampling():
+    # at max degree 1 the backward-span cap is w < 1, so checking it would
+    # fail every edge whatever the weights
+    g = build_graph(400, [(2 * i - 1, 2 * i) for i in range(1, 201)])
+    cert = resample_until_valid(g, 2, 1)
+    assert cert.valid and cert.resample_rounds == 0 and cert.checks == {}
+    assert any("max degree 1" in note for note in cert.notes)
+    assert cert.ordering == derive_ordering(g, cert.weights)

@@ -1,7 +1,7 @@
 import pytest
 
 from distsum.palette import (PaletteError, PaletteParams, check_disjoint_shifts,
-                             compute_params, headline_bound, residue)
+                             compute_params, headline_bound)
 
 
 def test_spot_values_degree_100():
@@ -72,14 +72,6 @@ def test_rejects_bad_arguments():
         compute_params(1, 2)
     with pytest.raises(PaletteError):
         compute_params(5, 1)
-
-
-def test_residue():
-    assert residue(1371 + 5, 1371) == 5
-    assert residue(-457, 1371) == 1371 - 457
-    assert residue(0, 1371) == 0
-    with pytest.raises(PaletteError):
-        residue(3, 0)
 
 
 def test_headline_bound_degree_100():

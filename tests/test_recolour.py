@@ -5,7 +5,7 @@ import pytest
 from distsum import build_graph, compute_params, resample_until_valid, run, verify
 from distsum.recolour import RunError, _Run, replay
 
-from conftest import apsp, random_graph
+from conftest import apsp, component_graph, random_graph
 
 
 def weighted_degrees(g, col):
@@ -48,6 +48,22 @@ def test_isolated_vertices():
     col, trace, _ = run(g, 2, 1)
     assert col.vertex_colours[3] == 1 and col.vertex_colours[4] == 1
     assert weighted_degrees(g, col)[3] == 1
+    assert verify(g, col, 2).passed
+
+
+def test_isolated_vertex_steps_take_the_general_path():
+    # two components plus isolated vertices 9 and 10
+    g = build_graph(10, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 7), (7, 8)])
+    col, trace, _ = run(g, 2, 3, check_invariants=True)
+    isolated = [rec for rec in trace.steps if g.degree(rec.vertex) == 0]
+    assert sorted(rec.vertex for rec in isolated) == [9, 10]
+    for rec in isolated:
+        assert (rec.base_colour, rec.target_sum) == (1, 1)
+        assert rec.admissible_count == col.params.modulus
+        assert rec.lattice_size == 1
+        assert rec.backward_r_count == 0
+        assert rec.edge_deltas == [] and rec.compensations == []
+    assert not trace.invariant_violations
     assert verify(g, col, 2).passed
 
 
@@ -135,7 +151,7 @@ def test_invariant_checker_reports_corrupted_edge():
     key = next((a, b) for a, b in runner.g.edges
                if a in runner.processed and b in runner.processed)
     runner.colouring.edge_colours[key] += 1
-    runner._check_state("fault")
+    runner._check_state("fault", runner.g.vertices())
     found = runner.trace.invariant_violations
     assert f"after fault: edge {key} left its residue class" in found
     assert f"after fault: sum of {key[0]} drifted from its target" in found
@@ -145,9 +161,65 @@ def test_invariant_checker_reports_anchor_above_modulus():
     runner = _half_run(5)
     v = min(runner.processed)
     runner.anchor[v] = runner.params.modulus + 1
-    runner._check_state("fault")
+    runner._check_state("fault", runner.g.vertices())
     assert (f"after fault: anchor of {v} above the modulus"
             in runner.trace.invariant_violations)
+
+
+def _inject(monkeypatch, fault):
+    """Call fault(runner, v) before every step of the runs that follow."""
+    step = _Run.process_vertex
+
+    def process_vertex(runner, v):
+        fault(runner, v)
+        return step(runner, v)
+    monkeypatch.setattr(_Run, "process_vertex", process_vertex)
+
+
+def test_step_check_misses_far_fault_and_end_scan_reports_it(monkeypatch):
+    # the first component is processed long before the last step, so an
+    # edge corrupted there lies outside every later step's {v} | N(v)
+    g = component_graph(40, (12, 28), 0.3, 2)
+    corrupted = []
+
+    def fault(runner, v):
+        if corrupted:
+            return
+        for a, b in g.edges:
+            around = g.adjacency[a] | g.adjacency[b]
+            if runner.processed.issuperset(around):
+                runner.colouring.edge_colours[(a, b)] += 1
+                corrupted.append(((a, b), around, set(g.vertices()) - runner.processed))
+                return
+    _inject(monkeypatch, fault)
+    _, trace, _ = run(g, 2, 6, check_invariants=True)
+    assert corrupted
+    key, around, later = corrupted[0]
+    assert later and not later & around
+    found = trace.invariant_violations
+    assert f"after all steps: edge {key} left its residue class" in found
+    assert f"after all steps: sum of {key[0]} drifted from its target" in found
+    assert all(msg.startswith("after all steps: ") for msg in found)
+
+
+def test_step_check_reports_fault_next_to_the_step(monkeypatch):
+    # a processed neighbour of the coming step is corrupted just before it
+    g = random_graph(30, 0.15, 4)
+    corrupted = []
+
+    def fault(runner, v):
+        done = sorted(runner.g.adjacency[v] & runner.processed)
+        if not corrupted and done:
+            runner.colouring.vertex_colours[done[0]] += 1
+            corrupted.append((v, done[0]))
+    _inject(monkeypatch, fault)
+    _, trace, _ = run(g, 2, 4, check_invariants=True)
+    assert corrupted
+    v, u = corrupted[0]
+    found = trace.invariant_violations
+    assert found[0].startswith(f"after {v}: ")
+    assert f"after {v}: sum of {u} drifted from its target" in found
+    assert f"after {v}: colour of {u} left its envelope" in found
 
 
 def test_no_free_sum_raises_run_error(monkeypatch):
