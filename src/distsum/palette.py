@@ -1,47 +1,77 @@
 """Exact integer arithmetic for the palette objects behind the colouring.
 
-The construction needs three things for a given max degree and radius:
+The construction needs three things for a given max degree D >= 2 and
+radius r >= 2:
 
-* ``step`` -- the small colour increment (ceil of a transcendental expression,
-  evaluated in high precision so the ceiling is provably on the right side),
-* ``modulus`` -- the least multiple of ``step`` clearing the main lower bound;
+* ``step`` -- the small colour increment ceil(D**(r - 4/3) * ln(D)**2).  The
+  value is bracketed between exact rational bounds (an integer cube root for
+  D**(2/3), the correctly rounded ``decimal`` logarithm for ln D) whose
+  precision doubles until both bounds have the same ceiling,
+* ``modulus`` -- the least multiple of ``step`` clearing D**(r-1) + 6*D + step;
   colour properness is enforced modulo this value,
-* ``edge_palette`` -- max_degree + 1 integers just above the modulus whose
-  four-element shifted sets are pairwise disjoint modulo the modulus.
+* ``edge_palette`` -- D + 1 integers just above the modulus, stored as a few
+  blocks of consecutive integers, whose four-element shifted sets are
+  pairwise disjoint modulo the modulus.  The check works on the blocks, so
+  its cost does not grow with D.
 
-All values are plain Python integers, so there is no overflow to guard
-against; the high-precision concern is only the ceiling of the step.
+Only the standard library is used and every value is a plain Python
+integer, so there is neither overflow nor a precision limit: any D and r
+get an exact answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from mpmath import mp, mpf
+from decimal import ROUND_HALF_EVEN, Context
 
 
 class PaletteError(ValueError):
     """Invalid palette parameters."""
 
 
+def _icbrt(n):
+    """floor(n ** (1/3)) for an integer n >= 0, by Newton's method from above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def _step_value(max_degree, radius):
     """ceil(max_degree**(radius - 4/3) * ln(max_degree)**2), exactly.
 
-    Evaluated at two precisions; a disagreement between the ceilings would
-    mean the value sits closer to an integer than 10**-40, in which case we
-    refuse rather than guess.
+    The value is D**(r-2) * D**(2/3) * ln(D)**2 with D = max_degree.  At
+    `digits` decimal digits, c = icbrt(D**2 * 10**(3*digits)) gives
+    c <= D**(2/3) * 10**digits < c + 1, and the two neighbours of the
+    correctly rounded ``Decimal.ln`` bracket ln D, so the products are exact
+    lower and upper bounds of the value.  When their ceilings agree that is
+    the answer; otherwise the digits double.
+
+    The loop ends because the value is never an integer: an integer n would
+    make ln D = sqrt(n / D**(r - 4/3)) algebraic, but ln D is transcendental
+    for every integer D >= 2 (Lindemann-Weierstrass).  So the bounds, which
+    close in on the value, eventually leave no integer between them.
     """
-    results = []
-    for dps in (50, 120):
-        with mp.workdps(dps):
-            expo = mpf(radius) - mpf(4) / 3
-            val = mpf(max_degree) ** expo * mp.log(max_degree) ** 2
-            results.append(int(mp.ceil(val)))
-    if results[0] != results[1]:
-        raise PaletteError(
-            f"step ceiling is precision-sensitive for max_degree={max_degree}, "
-            f"radius={radius}: {results}")
-    return results[0]
+    scale = max_degree ** (radius - 2)
+    # first try: the decimal digits of D**(r-1), from its bit length
+    # (log10(2) ~ 0.30103), plus four guard digits
+    digits = (radius - 1) * max_degree.bit_length() * 30103 // 100000 + 4
+    while True:
+        unit = 10 ** digits
+        root = _icbrt(max_degree ** 2 * unit ** 3)
+        ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+        ln = ctx.ln(max_degree)
+        lo_num, lo_den = ln.next_minus(ctx).as_integer_ratio()
+        hi_num, hi_den = ln.next_plus(ctx).as_integer_ratio()
+        low = -(-(scale * root * lo_num ** 2) // (unit * lo_den ** 2))
+        high = -(-(scale * (root + 1) * hi_num ** 2) // (unit * hi_den ** 2))
+        if low == high:
+            return low
+        digits *= 2
 
 
 @dataclass(frozen=True)
@@ -120,17 +150,35 @@ def shifted_set(value, step):
 def check_disjoint_shifts(params):
     """Verify pairwise disjointness mod `modulus` of all shifted 4-sets.
 
-    Returns (True, None) or (False, (value1, value2)) with the first
-    offending pair of palette elements.  Linear in the palette size.
+    Returns (True, None) or (False, (value1, value2)): two distinct palette
+    elements whose shifted sets share a residue, the smaller one first.
+
+    Works on the blocks, not the elements.  Under each distinct shift
+    j*step mod modulus (j = -1..2) a block [lo, hi] covers one interval of
+    residues, or two where it wraps past modulus - 1 (a block of modulus or
+    more elements wraps onto itself, so its two pieces overlap).  The blocks
+    are disjoint (as compute_params builds them), so two shifted sets meet
+    exactly where two of these pieces overlap: the pieces are sorted and
+    each is compared with the one before, in O(B log B) for B blocks.  The
+    witness is the pair of elements at the smallest residue two pieces
+    share.
     """
-    owner = {}
-    for value in params.elements():
-        for shifted in shifted_set(value, params.step):
-            res = shifted % params.modulus
-            prev = owner.get(res)
-            if prev is not None and prev != value:
-                return False, (prev, value)
-            owner[res] = value
+    step, modulus = params.step, params.modulus
+    shifts = {j * step % modulus for j in (-1, 0, 1, 2)}
+    pieces = []  # (first residue, last residue, element at the first residue)
+    for lo, hi in params.intervals:
+        for shift in shifts:
+            start = (lo + shift) % modulus
+            end = start + hi - lo
+            if end < modulus:
+                pieces.append((start, end, lo))
+            else:
+                pieces.append((start, modulus - 1, lo))
+                pieces.append((0, end - modulus, lo + modulus - start))
+    pieces.sort()
+    for (start, end, value), (nstart, _, nvalue) in zip(pieces, pieces[1:]):
+        if nstart <= end:
+            return False, tuple(sorted((value + nstart - start, nvalue)))
     return True, None
 
 

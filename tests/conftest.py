@@ -1,8 +1,18 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from distsum import build_graph
+
+
+def src_env():
+    """The environment for a fresh interpreter that imports distsum from this
+    checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def random_graph(n, p, seed):

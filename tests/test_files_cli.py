@@ -2,7 +2,6 @@ import io
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -10,6 +9,8 @@ from distsum import files
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
 from distsum.recolour import _Run
+
+from conftest import src_env
 
 
 def run_cli(argv):
@@ -141,17 +142,11 @@ def test_refused_run_exit_code_and_row(tmp_path, monkeypatch, capsys):
     assert rows[1][-1] == "error:RunError"
 
 
-def _cli_env():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def test_closed_stdout_exits_quietly():
     # stdout is a pipe whose reader is already gone, as after `| head -1`
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = _cli_env()
+    env = src_env()
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "distsum.cli", "palette", "--delta", "3000",
@@ -167,7 +162,7 @@ def test_closed_stdout_exits_quietly():
 def test_reader_quitting_early_exits_141(unbuffered):
     # `distsum gen path 200000 | head -1`: the reader leaves mid-write, after
     # the pipe took part of the output
-    env = _cli_env()
+    env = src_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from distsum import build_graph, check_conditions, resample_until_valid, sample_weights
+from distsum.generate import star
 from distsum.graphs import degree_stats
 from distsum.ordering import (checkable_vertices, condition_counts,
                               derive_ordering, split_threshold)
@@ -48,7 +49,7 @@ def test_threshold_degree_95():
 
 
 def test_uncheckable_vertices_skipped():
-    g = build_graph(4, [(1, 2), (2, 3), (3, 4)])  # all big_nbr counts tiny
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4)])  # all four vertices checkable
     stats = degree_stats(g)
     cutoff = g.max_degree ** (1 / 3) * math.log(g.max_degree)
     checks = check_conditions(g, sample_weights(g, 1), 2)
@@ -66,15 +67,12 @@ def test_counts_match_distance_table_oracle(seed, radius):
 
 
 def test_resample_vacuous_zero_rounds():
-    # no vertex reaches the big-neighbour cutoff: nothing to check
-    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    g2 = random_graph(12, 0.5, 0)
-    for graph in (g, g2):
-        stats = degree_stats(graph)
-        cutoff = graph.max_degree ** (1 / 3) * math.log(graph.max_degree)
-        if not checkable_vertices(graph, stats):
-            cert = resample_until_valid(graph, 2, 0)
-            assert cert.valid and cert.resample_rounds == 0
+    # max degree 8, but no vertex reaches the big-neighbour cutoff
+    # 8**(1/3) * ln 8 ~ 4.2: nothing to check, so no resampling
+    g = star(8)
+    assert set(checkable_vertices(g, degree_stats(g))) == set()
+    cert = resample_until_valid(g, 2, 0)
+    assert cert.valid and cert.resample_rounds == 0
 
 
 def test_resample_deterministic():

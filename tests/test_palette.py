@@ -1,7 +1,52 @@
+import hashlib
+import io
+import json
+import random
+import subprocess
+import sys
+import time
+from decimal import Context
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+from distsum import palette
+from distsum.cli import _print_palette, main
 from distsum.palette import (PaletteError, PaletteParams, check_disjoint_shifts,
-                             compute_params, headline_bound)
+                             compute_params, headline_bound, shifted_set)
+
+from conftest import src_env
+
+
+def elementwise_check(params):
+    """The element-wise scan the interval check replaced, kept as an oracle:
+    every residue of every shifted set, each owned by one element."""
+    owner = {}
+    for value in params.elements():
+        for shifted in shifted_set(value, params.step):
+            res = shifted % params.modulus
+            prev = owner.get(res)
+            if prev is not None and prev != value:
+                return False, (prev, value)
+            owner[res] = value
+    return True, None
+
+
+def assert_defining_relations(p, delta, r):
+    """step, modulus, size, window and disjointness, each from its definition;
+    the step against an independent high-precision value."""
+    ctx = Context(prec=(r - 1) * len(str(delta)) + 40)
+    ln = ctx.ln(delta)
+    value = ctx.multiply(ctx.exp(ctx.multiply(ctx.divide(3 * r - 4, 3), ln)),
+                         ctx.multiply(ln, ln))
+    assert p.step - 1 < value < p.step
+    floor = delta ** (r - 1) + 6 * delta + p.step
+    assert p.modulus % p.step == 0 and floor <= p.modulus < floor + p.step
+    assert p.size == delta + 1
+    assert p.intervals[0][0] >= p.modulus + 1
+    assert p.intervals[-1][1] <= p.modulus + 4 * delta + 1
+    assert check_disjoint_shifts(p) == (True, None)
 
 
 def test_spot_values_degree_100():
@@ -65,6 +110,117 @@ def test_disjointness_negative_control():
     ok, pair = check_disjoint_shifts(fake)
     assert not ok
     assert pair == (base.modulus + 1, base.modulus + 1 + base.step)
+
+
+# Golden digests of the criterion-3 grid (max degree 2..1000 at each radius),
+# recorded from the earlier multiple-precision step: per radius, one of the
+# lines "D r step modulus lo-hi ..." and one of the `distsum palette` stdouts
+# (written by the command's body; argument parsing would triple the time).
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_grid_golden_and_oracle(r):
+    expected = json.loads((Path(__file__).parent / "palette_digests.json").read_text())
+    lines, stdout = [], []
+    for delta in range(2, 1001):
+        p = compute_params(delta, r)
+        lines.append(f"{delta} {r} {p.step} {p.modulus} "
+                     + " ".join(f"{lo}-{hi}" for lo, hi in p.intervals) + "\n")
+        assert check_disjoint_shifts(p) == elementwise_check(p) == (True, None), delta
+        out = io.StringIO()
+        assert _print_palette(SimpleNamespace(delta=delta, r=r), out) == 0
+        stdout.append(out.getvalue())
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == expected[f"params r={r}"]
+    assert hashlib.sha256("".join(stdout).encode()).hexdigest() == expected[f"stdout r={r}"]
+
+
+def _random_fake(rng):
+    """Blocks of random widths and gaps above a random modulus, built like
+    the negative control; most of them overlap once shifted."""
+    step = rng.randint(1, 12)
+    modulus = step * rng.randint(1, 10) + rng.randint(0, 3)
+    intervals, lo = [], modulus + rng.randint(1, 2 * step + 1)
+    for _ in range(rng.randint(1, 5)):
+        hi = lo + rng.randint(0, 2 * step)
+        intervals.append((lo, hi))
+        lo = hi + 1 + rng.randint(0, 5 * step)
+    size = sum(hi - lo + 1 for lo, hi in intervals)
+    return PaletteParams(size - 1, 2, step, modulus, tuple(intervals), 0)
+
+
+def assert_collision(p, pair):
+    """`pair` is two palette elements, smaller first, whose shifted sets
+    share a residue."""
+    a, b = pair
+    elements = set(p.elements())
+    assert a < b and a in elements and b in elements
+    residues = [{x % p.modulus for x in shifted_set(v, p.step)} for v in pair]
+    assert residues[0] & residues[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_fakes_agree_with_oracle(seed):
+    rng = random.Random(seed)
+    overlapping = 0
+    for _ in range(500):
+        p = _random_fake(rng)
+        ok, pair = check_disjoint_shifts(p)
+        assert ok == elementwise_check(p)[0]
+        if ok:
+            assert pair is None
+        else:
+            overlapping += 1
+            assert_collision(p, pair)
+    assert overlapping > 250
+
+
+def test_wide_block_overlaps_itself():
+    # a block of modulus or more elements holds lo and lo + modulus
+    for width in (9, 10, 21):
+        fake = PaletteParams(width - 1, 2, 3, 9, ((10, 9 + width),), 0)
+        assert elementwise_check(fake)[0] is False
+        ok, pair = check_disjoint_shifts(fake)
+        assert not ok
+        assert_collision(fake, pair)
+
+
+@pytest.mark.parametrize("delta,r", [(10 ** 9, 8), (10 ** 12, 6), (10 ** 15, 5),
+                                     (10 ** 6, 12)])
+def test_huge_parameters(delta, r):
+    assert_defining_relations(compute_params(delta, r), delta, r)
+
+
+def test_step_precision_doubles(monkeypatch):
+    # at (36, 2) the first precision leaves an integer between the bounds
+    rounds = []
+    icbrt = palette._icbrt
+    monkeypatch.setattr(palette, "_icbrt", lambda n: rounds.append(n) or icbrt(n))
+    assert compute_params(36, 2).step == 141
+    assert len(rounds) == 2
+    rounds.clear()
+    assert compute_params(100, 2).step == 457
+    assert len(rounds) == 1
+
+
+def test_icbrt():
+    for n in list(range(200)) + [10 ** 30 - 1, 10 ** 30, 10 ** 30 + 1, 7 ** 61]:
+        c = palette._icbrt(n)
+        assert c ** 3 <= n < (c + 1) ** 3
+
+
+def test_palette_cli_huge_degree():
+    # the element-wise check needed about 7 GB here
+    out = io.StringIO()
+    start = time.perf_counter()
+    assert main(["palette", "--delta", "20000000", "--r", "2"], out=out) == 0
+    assert time.perf_counter() - start < 1.0
+    assert out.getvalue().split("\n", 1)[0].endswith(" shifts_disjoint=true")
+
+
+def test_import_leaves_out_mpmath():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, distsum; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_rejects_bad_arguments():
