@@ -5,7 +5,7 @@ from .exact import exact_chi, is_feasible
 from .graphs import (Graph, GraphError, backward_stats, build_graph,
                      degree_stats, r_neighbourhood)
 from .ordering import (OrderingCertificate, check_conditions,
-                       resample_until_valid, sample_weights)
+                       resample_until_valid)
 from .palette import (PaletteParams, check_disjoint_shifts, compute_params,
                       headline_bound)
 from .recolour import RunTrace, replay, run
@@ -15,7 +15,7 @@ __all__ = [
     "Graph", "GraphError", "build_graph", "degree_stats", "r_neighbourhood",
     "backward_stats", "PaletteParams", "compute_params", "check_disjoint_shifts",
     "headline_bound", "TotalColouring", "OrderingCertificate",
-    "sample_weights", "check_conditions", "resample_until_valid",
+    "check_conditions", "resample_until_valid",
     "run", "replay", "RunTrace", "verify", "VerificationReport",
     "exact_chi", "is_feasible",
 ]

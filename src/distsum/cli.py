@@ -12,7 +12,6 @@ import argparse
 import io
 import os
 import sys
-import time
 
 from . import exact as exact_mod
 from . import files, generate, recolour
@@ -161,27 +160,24 @@ def parse_grid_lines(lines):
     return grid
 
 
-def run_experiment(grid, timing=False):
+def run_experiment(grid):
     """Run the full pipeline per grid row; failures become rows too."""
-    header = EXPERIMENT_COLUMNS + (("millis",) if timing else ())
-    rows = [header]
+    rows = [EXPERIMENT_COLUMNS]
     for kind, params_args, radius, seed in grid:
-        started = time.perf_counter()
         try:
             g = generate.from_spec(kind, params_args, seed)
             colouring, trace, cert = recolour.run(g, radius, seed)
             report = verify(g, colouring, radius)
+            params = colouring.params
             row = (kind, ",".join(params_args), g.n, g.m, g.max_degree,
                    radius, seed, report.max_colour,
-                   f"{headline_bound(max(g.max_degree, 2), max(radius, 2)):.1f}",
-                   colouring.params.palette_max, trace.fallback_count,
+                   f"{headline_bound(params.max_degree, params.radius):.1f}",
+                   params.palette_max, trace.fallback_count,
                    str(cert.valid).lower(),
                    "pass" if report.passed else "fail")
         except Exception as exc:  # noqa: BLE001 - per-row failures become rows
             row = (kind, ",".join(params_args), "-", "-", "-", radius, seed,
                    "-", "-", "-", "-", "-", f"error:{type(exc).__name__}")
-        if timing:
-            row = row + (int((time.perf_counter() - started) * 1000),)
         rows.append(row)
     return rows
 
@@ -189,7 +185,7 @@ def run_experiment(grid, timing=False):
 def _cmd_experiment(args, out):
     with open(args.grid, encoding="utf-8") as fh:
         grid = parse_grid_lines(fh.readlines())
-    rows = run_experiment(grid, timing=args.timing)
+    rows = run_experiment(grid)
     text = "\n".join("\t".join(str(cell) for cell in row) for row in rows) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -245,8 +241,6 @@ def build_parser():
     p = sub.add_parser("experiment", help="run a grid of instances")
     p.add_argument("--grid", required=True)
     p.add_argument("--output")
-    p.add_argument("--timing", action="store_true",
-                   help="append a wall-time column (breaks byte determinism)")
     return parser
 
 

@@ -20,9 +20,6 @@ class TotalColouring:
     edge_colours: dict
     params: object = None
 
-    def edge(self, u, v):
-        return self.edge_colours[edge_key(u, v)]
-
     def weighted_degree(self, g, v):
         """Vertex colour plus the sum of its incident edge colours."""
         return self.vertex_colours[v] + sum(

@@ -6,7 +6,6 @@ to share between concurrent readers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -87,12 +86,10 @@ def build_graph(n, edges):
     return Graph(n, tuple(sorted(canon)), frozen, max_degree)
 
 
-def r_neighbourhood(g, v, radius):
-    """All vertices u != v within distance `radius` of v (BFS to that depth)."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+def ball(g, sources, radius):
+    """Vertices within distance `radius` of any source, sources included."""
     adjacency = g.adjacency
-    seen = {v}
+    seen = set(sources)
     frontier = seen
     for _ in range(radius):
         # one whole BFS layer per step, in C-level set operations
@@ -101,8 +98,16 @@ def r_neighbourhood(g, v, radius):
         if not frontier:
             break
         seen |= frontier
-    seen.discard(v)
     return seen
+
+
+def r_neighbourhood(g, v, radius):
+    """All vertices u != v within distance `radius` of v (BFS to that depth)."""
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    nbrs = ball(g, (v,), radius)
+    nbrs.discard(v)
+    return nbrs
 
 
 def all_r_neighbourhoods(g, radius):
@@ -119,21 +124,6 @@ def all_r_neighbourhoods(g, radius):
     return table
 
 
-def ball(g, sources, radius):
-    """Vertices within distance `radius` of any source, sources included."""
-    seen = set(sources)
-    frontier = deque((v, 0) for v in sources)
-    while frontier:
-        w, d = frontier.popleft()
-        if d == radius:
-            continue
-        for u in g.adjacency[w]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append((u, d + 1))
-    return seen
-
-
 @dataclass(frozen=True)
 class DegreeStats:
     """Degree statistics: small/big split and neighbour-degree sums.
@@ -145,7 +135,6 @@ class DegreeStats:
 
     threshold: float
     big_set: frozenset
-    small_nbr_count: tuple   # per vertex: neighbours in the small class
     big_nbr_count: tuple     # per vertex: neighbours in the big class
     nbr_degree_sum: tuple    # per vertex: sum of neighbour degrees
 
@@ -163,17 +152,14 @@ def degree_stats(g):
         return stats
     threshold = g.max_degree ** (2.0 / 3.0)
     big = frozenset(v for v in g.vertices() if g.degree(v) > threshold)
-    small_cnt = [0] * (g.n + 1)
     big_cnt = [0] * (g.n + 1)
     deg_sum = [0] * (g.n + 1)
     for v in g.vertices():
         for u in g.adjacency[v]:
             if u in big:
                 big_cnt[v] += 1
-            else:
-                small_cnt[v] += 1
             deg_sum[v] += g.degree(u)
-    stats = DegreeStats(threshold, big, tuple(small_cnt), tuple(big_cnt), tuple(deg_sum))
+    stats = DegreeStats(threshold, big, tuple(big_cnt), tuple(deg_sum))
     g._tables["degree_stats"] = stats
     return stats
 
@@ -182,14 +168,13 @@ def degree_stats(g):
 class BackwardStats:
     """Backward-neighbour counts relative to a fixed vertex ordering."""
 
-    backward_nbrs: tuple        # per vertex: frozenset of backward neighbours
     backward_r_count: tuple     # per vertex: |backward r-neighbours|
     backward_big_count: tuple   # per vertex: backward neighbours in the big class
     masked_r_count: tuple       # per vertex: r-neighbours inside the supplied mask
 
 
 def backward_stats(g, ordering, radius, mask=None, neighbourhoods=None):
-    """Backward sets/counts for every vertex, given a processing order.
+    """Backward counts for every vertex, given a processing order.
 
     `ordering` is a permutation of the vertices; `mask` is an optional vertex
     set for the masked r-neighbour count (the mask is applied to the whole
@@ -202,17 +187,14 @@ def backward_stats(g, ordering, radius, mask=None, neighbourhoods=None):
     big = degree_stats(g).big_set
     mask = frozenset(mask or ())
 
-    back_n = [frozenset()] * (g.n + 1)
     back_r_cnt = [0] * (g.n + 1)
     back_big = [0] * (g.n + 1)
     masked = [0] * (g.n + 1)
     earlier = set()                 # the vertices ordered before v
     for v in ordering:
         nbrs_r = neighbourhoods[v]
-        back = back_n[v] = g.adjacency[v] & earlier
         back_r_cnt[v] = len(earlier.intersection(nbrs_r))
-        back_big[v] = len(back & big)
+        back_big[v] = len(g.adjacency[v] & earlier & big)
         masked[v] = len(mask.intersection(nbrs_r))
         earlier.add(v)
-    return BackwardStats(tuple(back_n), tuple(back_r_cnt),
-                         tuple(back_big), tuple(masked))
+    return BackwardStats(tuple(back_r_cnt), tuple(back_big), tuple(masked))

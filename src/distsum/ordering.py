@@ -36,9 +36,7 @@ MIN_DEGREE = 2
 class OrderingCertificate:
     weights: dict                  # vertex -> float in [0, 1)
     ordering: list                 # permutation, ascending by (weight, id)
-    low_set: frozenset             # weight < split_threshold
-    high_set: frozenset
-    split_threshold: float
+    split_threshold: float         # weights below it form the low group
     checks: dict                   # vertex -> {key: bool or None}
     resample_rounds: int
     seed: int
@@ -52,12 +50,6 @@ def split_threshold(max_degree):
     if max_degree < MIN_DEGREE:
         return 0.0
     return math.log(max_degree) / max_degree ** (1.0 / 3.0)
-
-
-def sample_weights(g, seed):
-    """Independent uniform [0, 1) weights from a seeded generator."""
-    rng = random.Random(seed)
-    return {v: rng.random() for v in g.vertices()}
 
 
 def derive_ordering(g, weights):
@@ -157,12 +149,9 @@ def resample_until_valid(g, radius, seed, max_rounds=DEFAULT_MAX_ROUNDS):
         checks = check_conditions(g, weights, radius)
         failing = _failing(checks)
 
-    tau = split_threshold(g.max_degree)
-    low = frozenset(v for v in g.vertices() if weights[v] < tau)
     cert = OrderingCertificate(
-        weights, derive_ordering(g, weights), low,
-        frozenset(g.vertices()) - low, tau, checks, rounds, seed,
-        valid=not failing)
+        weights, derive_ordering(g, weights), split_threshold(g.max_degree),
+        checks, rounds, seed, valid=not failing)
     if g.max_degree < MIN_DEGREE:
         cert.notes.append(f"max degree {g.max_degree}: no ordering condition "
                           f"below max degree {MIN_DEGREE}")

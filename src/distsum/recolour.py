@@ -1,14 +1,18 @@
 """Sequential recolouring that makes weighted degrees distinct on every pair
 of vertices within the requested radius.
 
-Vertices are processed in the certified ordering.  Each step picks a fresh
-base colour for the vertex whose residues avoid its processed neighbours and
-everything its incident edges can still become, then reaches a target weighted
-degree by shifting incident edges on a two-unit lattice: the modulus for
-edges touching big-class vertices, the step for the rest.  Shifting a
-backward edge is paid for by the opposite shift on its already-processed
-endpoint, which keeps that endpoint's fixed sum and stays inside its
-four-colour envelope, so nothing settled is ever disturbed.
+Vertices are processed in the certified ordering.  Each step first fixes,
+once, the one shift each incident edge may take on a two-unit lattice: the
+modulus for an edge from a small vertex to an unprocessed big one, the step
+for the other unprocessed edges, and for a backward edge the shift its
+processed endpoint can absorb.  That shift decides both the edge's place on
+the lattice and the residues the edge can still reach.  The step then picks
+a fresh base colour for the vertex whose residues avoid its processed
+neighbours and those reachable residues, and reaches a target weighted
+degree by shifting incident edges.  Shifting a backward edge is paid for by
+the opposite shift on its already-processed endpoint, which keeps that
+endpoint's fixed sum and stays inside its four-colour envelope, so nothing
+settled is ever disturbed.
 
 Counting argument.  The candidate sums for v are base + (sum of its edge
 colours) + i * modulus + j * step, over the admissible bases in
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from .base_colouring import base_total_colouring
 from .colouring import TotalColouring
 from .graphs import all_r_neighbourhoods, degree_stats, edge_key
-from .ordering import resample_until_valid
+from .ordering import DEFAULT_MAX_ROUNDS, resample_until_valid
 from .palette import compute_params, shifted_set
 
 
@@ -82,23 +86,6 @@ class _Run:
             base_vertex_colours=dict(self.colouring.vertex_colours),
             base_edge_colours=dict(self.colouring.edge_colours))
 
-    # -- admissibility -------------------------------------------------
-
-    def _edge_reachable_residues(self, v, u):
-        """Residues the edge (v, u) can still take, seen while processing v."""
-        step, modulus = self.params.step, self.params.modulus
-        rho = self.colouring.edge(v, u) % modulus
-        if not self.stats.is_big(v):
-            # conservative: the whole four-shift class of the current colour
-            return {(rho - step) % modulus, rho, (rho + step) % modulus,
-                    (rho + 2 * step) % modulus}
-        if u not in self.processed:
-            return {rho, (rho + step) % modulus}
-        if self.stats.is_big(u):
-            return {rho}
-        delta = self._backward_edge_delta(u)
-        return {rho, (rho + delta) % modulus}
-
     def _backward_edge_delta(self, u):
         """The unique nonzero shift allowed on a backward edge to u.
 
@@ -114,38 +101,53 @@ class _Run:
             return -modulus if cu in (a, a + step) else modulus
         return -step if cu in (a, a + modulus) else step
 
-    def _forbidden_residues(self, v):
+    def _incident_edges(self, v):
+        """One pass over v's edges, in ascending neighbour order, fixing each
+        edge's admitted shift once.
+
+        Returns the edges as {shift: [(key, u), ...]} over the four shifts
+        +-modulus and +-step, the residues a base colour of v must avoid, and
+        v's edge sum.
+        """
         step, modulus = self.params.step, self.params.modulus
+        is_big = self.stats.is_big
+        v_big = is_big(v)
+        ecol = self.colouring.edge_colours
+        processed, anchor = self.processed, self.anchor
+        # v's colour ends up at base or base + step modulo the modulus, so a
+        # base b is forbidden when b or b + step meets a processed neighbour's
+        # {anchor, anchor + step} or a residue an incident edge can reach.
         forbidden = set()
-        opponents = [u for u in self.g.adjacency[v] if u in self.processed]
-        for u in opponents:
-            ru = self.anchor[u] % modulus
-            forbidden.update(((ru - step) % modulus, ru, (ru + step) % modulus))
-        for u in self.g.adjacency[v]:
-            for rho in self._edge_reachable_residues(v, u):
-                forbidden.add(rho)
-                forbidden.add((rho - step) % modulus)
-        return forbidden
-
-    # -- lattice -------------------------------------------------------
-
-    def _lattice_groups(self, v):
-        """Incident edges grouped by (unit, sign) of their admitted shift."""
-        step, modulus = self.params.step, self.params.modulus
-        groups = {(modulus, 1): [], (modulus, -1): [], (step, 1): [], (step, -1): []}
+        groups = {modulus: [], -modulus: [], step: [], -step: []}
+        edge_sum = 0
         for u in sorted(self.g.adjacency[v]):
             key = edge_key(v, u)
-            if u not in self.processed:
-                if not self.stats.is_big(v) and self.stats.is_big(u):
-                    groups[(modulus, 1)].append((key, u, modulus))
-                else:
-                    groups[(step, 1)].append((key, u, step))
+            colour = ecol[key]
+            edge_sum += colour
+            if u in processed:
+                shift = self._backward_edge_delta(u)
+                a = anchor[u]
+                forbidden.update(((a - step) % modulus, a % modulus,
+                                  (a + step) % modulus))
+            elif not v_big and is_big(u):
+                shift = modulus
             else:
-                delta = self._backward_edge_delta(u)
-                unit = abs(delta)
-                sign = 1 if delta > 0 else -1
-                groups[(unit, sign)].append((key, u, delta))
-        return groups
+                shift = step
+            groups[shift].append((key, u))
+            rho = colour % modulus
+            if v_big:
+                # the edge reaches rho and rho + shift
+                reach = (rho + shift) % modulus
+                forbidden.update((rho, (rho - step) % modulus,
+                                  reach, (reach - step) % modulus))
+            else:
+                # conservative: the edge may reach its whole four-shift class
+                # rho + j * step, j = -1..2, so with the step below each,
+                # j = -2..2 is forbidden
+                forbidden.update((rho, (rho - 2 * step) % modulus,
+                                  (rho - step) % modulus, (rho + step) % modulus,
+                                  (rho + 2 * step) % modulus))
+        return groups, forbidden, edge_sum
 
     # -- one step ------------------------------------------------------
 
@@ -153,14 +155,10 @@ class _Run:
         g, params = self.g, self.params
         step, modulus = params.step, params.modulus
 
-        forbidden = self._forbidden_residues(v)
-        groups = self._lattice_groups(v)
-        big_pos = len(groups[(modulus, 1)])
-        big_neg = len(groups[(modulus, -1)])
-        small_pos = len(groups[(step, 1)])
-        small_neg = len(groups[(step, -1)])
+        groups, forbidden, edge_sum = self._incident_edges(v)
+        big_pos, big_neg = len(groups[modulus]), len(groups[-modulus])
+        small_pos, small_neg = len(groups[step]), len(groups[-step])
         lattice_size = (big_neg + big_pos + 1) * (small_neg + small_pos + 1)
-        edge_sum = sum(self.colouring.edge(v, u) for u in g.adjacency[v])
         taken = set(map(self.target.__getitem__,
                         self.processed.intersection(self.nbrs_r[v])))
         admissible_count = modulus - len(forbidden)
@@ -196,12 +194,9 @@ class _Run:
         base_colour, target, need_big, need_small = choice
         edge_deltas = []
         compensations = []
-        for count, pos_key, neg_key in (
-                (need_big, (modulus, 1), (modulus, -1)),
-                (need_small, (step, 1), (step, -1))):
-            chosen = (groups[pos_key][:count] if count >= 0
-                      else groups[neg_key][:-count])
-            for key, u, delta in chosen:
+        for count, unit in ((need_big, modulus), (need_small, step)):
+            delta = unit if count >= 0 else -unit
+            for key, u in groups[delta][:abs(count)]:
                 self.colouring.edge_colours[key] += delta
                 self.alterations[key] += 1
                 edge_deltas.append((key, delta))
@@ -265,7 +260,7 @@ class _Run:
                 bad(f"after {label}: adjacent edges at {u} share a residue")
 
 
-def run(g, radius, seed, max_rounds=None, check_invariants=False):
+def run(g, radius, seed, max_rounds=DEFAULT_MAX_ROUNDS, check_invariants=False):
     """Full pipeline: parameters, base colouring, ordering, recolouring.
 
     Returns (TotalColouring, RunTrace, OrderingCertificate); raises RunError
@@ -277,9 +272,6 @@ def run(g, radius, seed, max_rounds=None, check_invariants=False):
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    from .ordering import DEFAULT_MAX_ROUNDS
-    if max_rounds is None:
-        max_rounds = DEFAULT_MAX_ROUNDS
 
     eff_degree = max(g.max_degree, 2)
     eff_radius = max(radius, 2)

@@ -15,6 +15,13 @@ def src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def sample_weights(g, seed):
+    """Independent uniform [0, 1) weights from random.Random(seed): the first
+    draw resample_until_valid makes."""
+    rng = random.Random(seed)
+    return {v: rng.random() for v in g.vertices()}
+
+
 def random_graph(n, p, seed):
     return component_graph(n, (n,), p, seed)
 
@@ -45,6 +52,18 @@ def golden_graphs():
         for p in (0.1, 0.3, 0.5, 0.8):
             for s in range(1, 6):
                 yield f"gnp {n} {p} seed {s}", lambda n=n, p=p, s=s: gnp(n, p, s)
+
+
+def forbid_every_base(monkeypatch):
+    """Make every recolouring step find all base residues forbidden, so the
+    first step of a run is refused."""
+    from distsum.recolour import _Run
+    incident = _Run._incident_edges
+
+    def forbid_all(self, v):
+        groups, _, edge_sum = incident(self, v)
+        return groups, set(range(self.params.modulus)), edge_sum
+    monkeypatch.setattr(_Run, "_incident_edges", forbid_all)
 
 
 def apsp(g):

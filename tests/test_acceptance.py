@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from distsum import build_graph, compute_params, sample_weights, verify
+from distsum import build_graph, compute_params, verify
 from distsum.base_colouring import edge_colour_indices
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.exact import exact_chi
@@ -19,7 +19,7 @@ from distsum.ordering import condition_counts
 from distsum.palette import check_disjoint_shifts
 from distsum.recolour import run
 
-from conftest import ordering_counts_oracle, random_graph
+from conftest import ordering_counts_oracle, random_graph, sample_weights
 
 
 def _report(num, label, ok, detail=""):

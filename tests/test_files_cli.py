@@ -8,9 +8,8 @@ import pytest
 from distsum import files
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
-from distsum.recolour import _Run
 
-from conftest import src_env
+from conftest import forbid_every_base, src_env
 
 
 def run_cli(argv):
@@ -128,8 +127,7 @@ def test_emit_trace(tmp_path):
 
 
 def test_refused_run_exit_code_and_row(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(_Run, "_forbidden_residues",
-                        lambda self, v: set(range(self.params.modulus)))
+    forbid_every_base(monkeypatch)
     gpath = tmp_path / "g.txt"
     run_cli(["gen", "cycle", "7", "--output", str(gpath)])
     capsys.readouterr()

@@ -76,7 +76,7 @@ def test_degree_stats_star():
     stats = degree_stats(g)
     assert stats.is_big(1)                      # degree 4 > 4**(2/3)
     assert not any(stats.is_big(v) for v in (2, 3, 4, 5))
-    assert stats.big_nbr_count[2] == 1 and stats.small_nbr_count[1] == 4
+    assert stats.big_nbr_count[2] == 1 and stats.big_nbr_count[1] == 0
 
 
 def test_degree_stats_boundary_k2(k2):
@@ -87,28 +87,28 @@ def test_degree_stats_boundary_k2(k2):
 def test_degree_stats_edgeless():
     stats = degree_stats(build_graph(3, []))
     assert stats.threshold == 0.0 and stats.big_set == frozenset()
-    assert stats.small_nbr_count == stats.big_nbr_count == (0, 0, 0, 0)
+    assert stats.big_nbr_count == (0, 0, 0, 0)
     assert stats.nbr_degree_sum == (0, 0, 0, 0)
 
 
 def test_degree_stats_p3_centre(p3):
     stats = degree_stats(p3)
     assert stats.nbr_degree_sum[2] == 2
-    assert stats.small_nbr_count[2] + stats.big_nbr_count[2] == 2
+    assert stats.big_nbr_count[2] == 0 and stats.big_nbr_count[1] == 1
 
 
 def test_degree_stats_partition():
     g = random_graph(25, 0.2, 1)
     stats = degree_stats(g)
     for v in g.vertices():
-        assert stats.small_nbr_count[v] + stats.big_nbr_count[v] == g.degree(v)
+        assert stats.big_nbr_count[v] == len(g.adjacency[v] & stats.big_set)
 
 
 def test_backward_stats_p3(p3):
-    bs = backward_stats(p3, [1, 2, 3], 2)
-    assert bs.backward_nbrs[2] == {1}
+    bs = backward_stats(p3, [1, 2, 3], 2)       # only the centre 2 is big
+    assert bs.backward_big_count[3] == 1 and bs.backward_big_count[2] == 0
     assert bs.backward_r_count[3] == 2
-    assert bs.backward_r_count[1] == 0 and bs.backward_nbrs[1] == frozenset()
+    assert bs.backward_r_count[1] == 0 and bs.backward_big_count[1] == 0
 
 
 def test_backward_stats_c5(c5):
@@ -187,8 +187,7 @@ def _backward_oracle(g, ordering, mask, nbrs_r):
     big = {v for v in g.vertices() if g.degree(v) > g.max_degree ** (2.0 / 3.0)}
     back = [frozenset()] + [frozenset(u for u in g.adjacency[v] if pos[u] < pos[v])
                             for v in g.vertices()]
-    return (back,
-            [0] + [sum(1 for u in nbrs_r[v] if pos[u] < pos[v]) for v in g.vertices()],
+    return ([0] + [sum(1 for u in nbrs_r[v] if pos[u] < pos[v]) for v in g.vertices()],
             [0] + [sum(1 for u in back[v] if u in big) for v in g.vertices()],
             [0] + [sum(1 for u in nbrs_r[v] if u in mask) for v in g.vertices()])
 
@@ -203,8 +202,8 @@ def test_backward_stats_match_position_oracle(family):
             rng.shuffle(ordering)
             mask = frozenset(v for v in g.vertices() if rng.random() < 0.3)
             bs = backward_stats(g, ordering, r, mask=mask)
-            got = (list(bs.backward_nbrs), list(bs.backward_r_count),
-                   list(bs.backward_big_count), list(bs.masked_r_count))
+            got = (list(bs.backward_r_count), list(bs.backward_big_count),
+                   list(bs.masked_r_count))
             assert got == _backward_oracle(g, ordering, mask, reference[r]), (name, r)
 
 

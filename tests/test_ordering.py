@@ -2,31 +2,35 @@ import math
 
 import pytest
 
-from distsum import build_graph, check_conditions, resample_until_valid, sample_weights
+from distsum import build_graph, check_conditions, resample_until_valid
 from distsum.generate import star
 from distsum.graphs import degree_stats
 from distsum.ordering import (checkable_vertices, condition_counts,
                               derive_ordering, split_threshold)
 
-from conftest import ordering_counts_oracle, random_graph
+from conftest import ordering_counts_oracle, random_graph, sample_weights
 
 
 def test_sample_weights_reproducible(p3):
-    first = sample_weights(p3, 42)
-    assert sample_weights(p3, 42) == first
+    first = resample_until_valid(p3, 2, 42).weights
+    assert resample_until_valid(p3, 2, 42).weights == first
     assert all(0.0 <= x < 1.0 for x in first.values())
 
 
 def test_sample_weights_seed_sensitivity(p3):
-    assert sample_weights(p3, 1) != sample_weights(p3, 2)
+    assert (resample_until_valid(p3, 2, 1).weights
+            != resample_until_valid(p3, 2, 2).weights)
 
 
 def test_sample_weights_regression_pin(p3):
-    # golden values from the first run of random.Random(0) on three vertices
-    weights = sample_weights(p3, 0)
-    assert weights == pytest.approx({1: 0.8444218515250481,
-                                     2: 0.7579544029403025,
-                                     3: 0.420571580830845})
+    # golden values from the first run of random.Random(0) on three vertices;
+    # P3 at seed 0 needs no resampling, so the certificate keeps that draw
+    pinned = pytest.approx({1: 0.8444218515250481,
+                            2: 0.7579544029403025,
+                            3: 0.420571580830845})
+    cert = resample_until_valid(p3, 2, 0)
+    assert cert.resample_rounds == 0 and cert.weights == pinned
+    assert sample_weights(p3, 0) == pinned
 
 
 def test_ordering_sorted_with_ties():
@@ -88,8 +92,8 @@ def test_resample_deterministic():
 def test_certificate_partition():
     g = random_graph(25, 0.2, 2)
     cert = resample_until_valid(g, 2, 5)
-    assert cert.low_set | cert.high_set == frozenset(g.vertices())
-    assert not (cert.low_set & cert.high_set)
+    assert cert.split_threshold == split_threshold(g.max_degree)
+    assert all(0.0 <= x < 1.0 for x in cert.weights.values())
     xs = [cert.weights[v] for v in cert.ordering]
     assert xs == sorted(xs)
     assert sorted(cert.ordering) == list(g.vertices())
@@ -109,7 +113,8 @@ def test_edgeless_graph():
     g = build_graph(3, [])
     cert = resample_until_valid(g, 2, 7)
     assert cert.valid and cert.checks == {}
-    assert cert.high_set == frozenset(g.vertices()) and cert.split_threshold == 0.0
+    assert cert.split_threshold == 0.0          # every weight is high
+    assert all(cert.weights[v] >= cert.split_threshold for v in g.vertices())
 
 
 @pytest.mark.parametrize("edges", [[], [(1, 2)]], ids=["edgeless", "k2"])

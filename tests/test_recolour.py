@@ -1,11 +1,16 @@
+import hashlib
+import json
 import time
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
 from distsum import build_graph, compute_params, resample_until_valid, run, verify
 from distsum.recolour import RunError, _Run, replay
 
-from conftest import apsp, component_graph, random_graph
+from conftest import (apsp, component_graph, forbid_every_base, golden_graphs,
+                      random_graph)
 
 
 def weighted_degrees(g, col):
@@ -223,8 +228,7 @@ def test_step_check_reports_fault_next_to_the_step(monkeypatch):
 
 
 def test_no_free_sum_raises_run_error(monkeypatch):
-    monkeypatch.setattr(_Run, "_forbidden_residues",
-                        lambda self, v: set(range(self.params.modulus)))
+    forbid_every_base(monkeypatch)
     started = time.monotonic()
     with pytest.raises(RunError, match="no free target sum"):
         run(random_graph(20, 0.2, 5), 2, 5)
@@ -253,3 +257,32 @@ def test_alteration_budget():
 def test_rejects_bad_radius(p3):
     with pytest.raises(ValueError):
         run(p3, 0, 1)
+
+
+# Golden digests of whole runs: a rewrite of the step must make every choice
+# the same, so every colour, the ordering and every step record stay.
+def _run_cases():
+    """(name, builder, radius, seed) for the golden graphs but the three
+    regular-ish 300 80 ones, at radius 1, 2, 3 in turn."""
+    cases = [(name, make) for name, make in golden_graphs()
+             if not name.startswith("regular-ish 300 80 ")]
+    for i, (name, make) in enumerate(cases):
+        yield name, make, 1 + i % 3, i
+
+
+def _run_digest(g, radius, seed):
+    col, trace, cert = run(g, radius, seed)
+    lines = [f"v {v} {col.vertex_colours[v]}" for v in g.vertices()]
+    lines += [f"e {u} {v} {col.edge_colours[(u, v)]}" for u, v in g.edges]
+    lines.append("order " + " ".join(map(str, cert.ordering)))
+    lines += [repr(astuple(rec)) for rec in trace.steps]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", ["regular-ish", "complete", "gnp"])
+def test_run_golden_digests(family):
+    expected = json.loads((Path(__file__).parent / "run_digests.json").read_text())
+    got = {f"{name}, r={radius}, run seed {seed}": _run_digest(make(), radius, seed)
+           for name, make, radius, seed in _run_cases()
+           if name.startswith(family + " ")}
+    assert got == {k: v for k, v in expected.items() if k.startswith(family + " ")}
