@@ -16,10 +16,19 @@ import sys
 from . import exact as exact_mod
 from . import files, generate, recolour
 from .graphs import GraphError
-from .ordering import DEFAULT_MAX_ROUNDS, resample_until_valid
+from .ordering import resample_until_valid
 from .palette import (PaletteError, check_disjoint_shifts, compute_params,
                       headline_bound)
 from .verify import IncompleteColouringError, verify
+
+
+def _write(text, path, out):
+    """Write text to the file at path if one is given, else to out."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
 
 
 def _print_palette(args, out):
@@ -46,19 +55,14 @@ def _print_palette(args, out):
 
 def _cmd_gen(args, out):
     g = generate.from_spec(args.kind, args.params, args.seed)
-    text = files.format_graph(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _write(files.format_graph(g), args.output, out)
     return 0
 
 
 def _cmd_order(args, out):
     g = files.parse_graph(args.input)
     radius = max(args.r, 2)
-    cert = resample_until_valid(g, radius, args.seed, args.max_rounds)
+    cert = resample_until_valid(g, radius, args.seed)
     out.write(f"cert seed={cert.seed} r={radius} rounds={cert.resample_rounds} "
               f"valid={str(cert.valid).lower()} threshold={cert.split_threshold:.12g}\n")
     for v in g.vertices():
@@ -83,15 +87,9 @@ def _colouring_meta(g, radius, seed, params, trace):
 
 def _cmd_color(args, out):
     g = files.parse_graph(args.input)
-    colouring, trace, cert = recolour.run(g, args.r, args.seed,
-                                          max_rounds=args.max_rounds)
+    colouring, trace, cert = recolour.run(g, args.r, args.seed)
     meta = _colouring_meta(g, args.r, args.seed, colouring.params, trace)
-    text = files.format_colouring(g, colouring, meta)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _write(files.format_colouring(g, colouring, meta), args.output, out)
     if args.emit_trace:
         with open(args.emit_trace, "w", encoding="utf-8") as fh:
             fh.write(f"trace vertex_steps={len(trace.steps)} "
@@ -187,11 +185,7 @@ def _cmd_experiment(args, out):
         grid = parse_grid_lines(fh.readlines())
     rows = run_experiment(grid)
     text = "\n".join("\t".join(str(cell) for cell in row) for row in rows) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _write(text, args.output, out)
     failures = sum(1 for row in rows[1:] if row[12] != "pass")
     return 1 if failures else 0
 
@@ -217,13 +211,11 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
 
     p = sub.add_parser("color", help="run the full colouring pipeline")
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
     p.add_argument("--output")
     p.add_argument("--emit-trace")
 

@@ -1,30 +1,61 @@
 """Exact minimum palette size by backtracking, for desk-scale oracles.
 
-Elements (vertices and incident edges) are interleaved so that a vertex's
-weighted degree is decided as early as possible; the search prunes on
-properness at every assignment and on sum clashes between fully decided
-vertices within the radius.  No numeric symmetry breaking is applied: colour
-permutations do not preserve weighted degrees, so fixing any element's colour
-could miss feasible palettes.
+The search colours a fixed schedule of elements: for each vertex in id
+order, its edges to earlier vertices, then the vertex itself, so that a
+vertex's weighted degree is decided as early as possible.  Before the search
+the schedule records, for each element, the earlier elements it must not
+share a colour with and the vertices it completes (colours their last
+element), and for each vertex, the elements that make up its weighted degree
+and its r-neighbours completed before it.
+
+The search is one loop over a colour list: at each index it tries the next
+colour, in ascending order, that is proper against the element's earlier
+neighbours and leaves every vertex it completes with a weighted degree unlike
+those of its earlier-completed r-neighbours.  It advances when a colour
+passes and steps back when none is left, so its depth is bounded by memory,
+not by the interpreter's recursion limit.  No numeric symmetry breaking is
+applied: colour permutations do not preserve weighted degrees, so fixing any
+element's colour could miss feasible palettes.
 """
 
 from __future__ import annotations
 
 from .colouring import TotalColouring
-from .graphs import all_r_neighbourhoods, edge_key
+from .graphs import all_r_neighbourhoods
 
 
-def _element_order(g):
-    """For each vertex in id order: first its edges to earlier vertices, then
-    the vertex itself.  Each vertex is fully decided once its forward edges
-    (placed under later vertices) are coloured."""
-    order = []
+def _schedule(g, radius):
+    """(elements, clashes, completes, parts, earlier) for the search.
+
+    An element is (v,) for a vertex and (u, v) with u < v for an edge.
+    clashes[i] and completes[i] list element indices and vertices; parts[v]
+    lists the element indices summed in v's weighted degree and earlier[v]
+    the r-neighbours completed before v.  An edge precedes its later end's
+    vertex element, so each element completes at most one vertex.
+    """
+    elements = []
     for v in g.vertices():
-        for u in sorted(g.adjacency[v]):
-            if u < v:
-                order.append(("edge", edge_key(u, v)))
-        order.append(("vertex", v))
-    return order
+        elements += [(u, v) for u in sorted(g.adjacency[v]) if u < v]
+        elements.append((v,))
+    parts = {v: [] for v in g.vertices()}
+    for i, ends in enumerate(elements):
+        for w in ends:
+            parts[w].append(i)
+    place = {ends[0]: i for i, ends in enumerate(elements) if len(ends) == 1}
+    clashes = []
+    for i, ends in enumerate(elements):
+        near = {j for w in ends for j in parts[w]}
+        if len(ends) == 1:
+            near.update(place[u] for u in g.adjacency[ends[0]])
+        clashes.append([j for j in near if j < i])
+    done = {v: parts[v][-1] for v in g.vertices()}
+    completes = [[] for _ in elements]
+    for v in g.vertices():
+        completes[done[v]].append(v)
+    nbrs_r = all_r_neighbourhoods(g, radius)
+    earlier = {v: [u for u in nbrs_r[v] if done[u] < done[v]]
+               for v in g.vertices()}
+    return elements, clashes, completes, parts, earlier
 
 
 def is_feasible(g, radius, palette_size):
@@ -34,94 +65,29 @@ def is_feasible(g, radius, palette_size):
         raise ValueError("palette size must be >= 1")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    nbrs_r = all_r_neighbourhoods(g, radius)
-    order = _element_order(g)
-    vcol = {}
-    ecol = {}
-    # remaining undecided elements per vertex: own colour + incident edges
-    remaining = {v: 1 + g.degree(v) for v in g.vertices()}
+    elements, clashes, completes, parts, earlier = _schedule(g, radius)
+    colour = [0] * len(elements)      # 0: not coloured yet
     sums = {}
-
-    def vertex_ok(v, c):
-        for u in g.adjacency[v]:
-            if vcol.get(u) == c or ecol.get(edge_key(v, u)) == c:
-                return False
-        return True
-
-    def edge_ok(u, v, c):
-        if vcol.get(u) == c or vcol.get(v) == c:
-            return False
-        for end in (u, v):
-            for w in g.adjacency[end]:
-                other = edge_key(end, w)
-                if other != edge_key(u, v) and ecol.get(other) == c:
-                    return False
-        return True
-
-    def decide(v):
-        total = vcol[v] + sum(ecol[edge_key(v, u)] for u in g.adjacency[v])
-        for u in nbrs_r[v]:
-            if u in sums and sums[u] == total:
-                return None
-        return total
-
-    def settle(ends):
-        """Mark endpoints decided where possible; None on a sum clash."""
-        done = []
-        touched = []
-        for v in ends:
-            remaining[v] -= 1
-            touched.append(v)
-            if remaining[v] == 0:
-                total = decide(v)
-                if total is None:
-                    for w in done:
-                        del sums[w]
-                    for w in touched:
-                        remaining[w] += 1
-                    return None
-                sums[v] = total
-                done.append(v)
-        return done
-
-    def unsettle(ends, done):
-        for v in done:
-            del sums[v]
-        for v in ends:
-            remaining[v] += 1
-
-    def search(i):
-        if i == len(order):
-            return True
-        kind, item = order[i]
-        if kind == "vertex":
-            for c in range(1, palette_size + 1):
-                if not vertex_ok(item, c):
-                    continue
-                vcol[item] = c
-                done = settle((item,))
-                if done is not None:
-                    if search(i + 1):
-                        return True
-                    unsettle((item,), done)
-                del vcol[item]
+    i = 0
+    while 0 <= i < len(elements):
+        used = {colour[j] for j in clashes[i]}
+        for c in range(colour[i] + 1, palette_size + 1):
+            if c in used:
+                continue
+            colour[i] = c
+            for w in completes[i]:
+                sums[w] = sum(colour[j] for j in parts[w])
+            if all(sums[u] != sums[w] for w in completes[i] for u in earlier[w]):
+                i += 1
+                break
         else:
-            u, v = item
-            for c in range(1, palette_size + 1):
-                if not edge_ok(u, v, c):
-                    continue
-                ecol[item] = c
-                done = settle((u, v))
-                if done is not None:
-                    if search(i + 1):
-                        return True
-                    unsettle((u, v), done)
-                del ecol[item]
-        return False
-
-    if search(0):
-        return True, TotalColouring(dict(vcol), dict(ecol))
-    return False, None
+            colour[i] = 0
+            i -= 1
+    if i < 0:
+        return False, None
+    vcol = {ends[0]: c for ends, c in zip(elements, colour) if len(ends) == 1}
+    ecol = {ends: c for ends, c in zip(elements, colour) if len(ends) == 2}
+    return True, TotalColouring(vcol, ecol)
 
 
 def exact_chi(g, radius, limit):

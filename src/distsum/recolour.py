@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from .base_colouring import base_total_colouring
 from .colouring import TotalColouring
 from .graphs import all_r_neighbourhoods, degree_stats, edge_key
-from .ordering import DEFAULT_MAX_ROUNDS, resample_until_valid
+from .ordering import resample_until_valid
 from .palette import compute_params, shifted_set
 
 
@@ -260,7 +260,7 @@ class _Run:
                 bad(f"after {label}: adjacent edges at {u} share a residue")
 
 
-def run(g, radius, seed, max_rounds=DEFAULT_MAX_ROUNDS, check_invariants=False):
+def run(g, radius, seed, check_invariants=False):
     """Full pipeline: parameters, base colouring, ordering, recolouring.
 
     Returns (TotalColouring, RunTrace, OrderingCertificate); raises RunError
@@ -276,7 +276,7 @@ def run(g, radius, seed, max_rounds=DEFAULT_MAX_ROUNDS, check_invariants=False):
     eff_degree = max(g.max_degree, 2)
     eff_radius = max(radius, 2)
     params = compute_params(eff_degree, eff_radius)
-    cert = resample_until_valid(g, eff_radius, seed, max_rounds)
+    cert = resample_until_valid(g, eff_radius, seed)
 
     runner = _Run(g, radius, params, check_invariants)
     if radius != eff_radius:

@@ -30,12 +30,7 @@ class IncompleteColouringError(ValueError):
 
 @dataclass
 class VerificationReport:
-    proper_vertices: bool = True
-    proper_edges: bool = True
-    proper_incidence: bool = True
-    r_distant_ok: bool = True
     max_colour: int = 0
-    bound_ok: bool = True
     violations: list = field(default_factory=list)
 
     @property
@@ -81,11 +76,9 @@ def verify(g, colouring, radius, bound=None):
 
     for (u, v) in g.edges:
         if vcol[u] == vcol[v]:
-            report.proper_vertices = False
             note(("adjacent-vertices", (u, v)))
         ce = ecol[edge_key(u, v)]
         if ce == vcol[u] or ce == vcol[v]:
-            report.proper_incidence = False
             note(("edge-endpoint", (u, v)))
     sums = {}
     for v in g.vertices():
@@ -94,7 +87,6 @@ def verify(g, colouring, radius, bound=None):
         sums[v] = vcol[v] + sum(colours)
         if len(set(colours)) == len(colours):
             continue
-        report.proper_edges = False
         by_colour = defaultdict(list)
         for u, ce in zip(nbrs, colours):
             by_colour[ce].append(u)
@@ -113,11 +105,9 @@ def verify(g, colouring, radius, bound=None):
             continue
         for u in _truncated_bfs(g.adjacency, v, radius):
             if u in later:
-                report.r_distant_ok = False
                 note(("equal-sums", (v, u)))
 
     report.max_colour = colouring.max_colour()
     if bound is not None and report.max_colour > bound:
-        report.bound_ok = False
         note(("bound-exceeded", (report.max_colour, bound)))
     return report

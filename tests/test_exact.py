@@ -1,9 +1,13 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from distsum import build_graph, exact_chi, is_feasible, verify
 from distsum.colouring import TotalColouring
+from distsum.generate import complete, cycle, path, star
 
 from conftest import random_graph
 
@@ -79,3 +83,41 @@ def test_lower_bound_and_monotone():
             assert verify(g, witness, r).passed
             values.append(value)
         assert values == sorted(values)
+
+
+def test_long_path_no_depth_limit():
+    g = path(600)
+    value, witness = exact_chi(g, 1, 4)
+    assert value == 4
+    assert verify(g, witness, 1, bound=4).passed
+
+
+# Golden digests of exact_chi: the search must keep its element order,
+# colour scan and pruning, so it finds the same first witness.
+def _exact_cases():
+    """(name, graph, radius, limit) for small random and named graphs at
+    radius 1, 2, 3, plus one case past its limit."""
+    graphs = [(f"random {n} 0.5 seed {s}", random_graph(n, 0.5, s))
+              for n in (4, 5) for s in range(10)]
+    graphs += [("path 7", path(7)), ("cycle 6", cycle(6)),
+               ("star 4", star(4)), ("complete 4", complete(4))]
+    for name, g in graphs:
+        for r in (1, 2, 3):
+            yield name, g, r, 8
+    yield "path 3", path(3), 2, 3
+
+
+def _exact_digest(g, radius, limit):
+    value, witness = exact_chi(g, radius, limit)
+    lines = [f"value {value}"]
+    if witness is not None:
+        lines += [f"v {v} {witness.vertex_colours[v]}" for v in g.vertices()]
+        lines += [f"e {u} {v} {witness.edge_colours[(u, v)]}" for u, v in g.edges]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_exact_golden_digests():
+    expected = json.loads((Path(__file__).parent / "exact_digests.json").read_text())
+    got = {f"{name}, r={radius}, limit {limit}": _exact_digest(g, radius, limit)
+           for name, g, radius, limit in _exact_cases()}
+    assert got == expected

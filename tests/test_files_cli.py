@@ -114,6 +114,15 @@ def test_exact_subcommand(tmp_path):
     assert text.splitlines()[0] == "exact result=3"
 
 
+def test_exact_subcommand_long_path(tmp_path):
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "path", "600", "--output", str(gpath)])
+    code, text = run_cli(["exact", "--input", str(gpath), "--r", "1",
+                          "--limit", "4"])
+    assert code == 0
+    assert text.splitlines()[0] == "exact result=4"
+
+
 def test_emit_trace(tmp_path):
     gpath, tpath = tmp_path / "g.txt", tmp_path / "trace.txt"
     run_cli(["gen", "path", "5", "--output", str(gpath)])
