@@ -1,5 +1,6 @@
-"""Initial total colouring: fan-recolouring edge colours mapped into the edge
-palette, then greedy vertex colours that are proper modulo the palette modulus.
+"""Initial total colouring: edge colours (a common free colour, else
+Misra-Gries fan recolouring) mapped into the edge palette, then greedy vertex
+colours that are proper modulo the palette modulus.
 """
 
 from __future__ import annotations
@@ -11,27 +12,29 @@ from .graphs import edge_key
 def edge_colour_indices(g):
     """Proper edge colouring with indices in [1, max_degree + 1].
 
-    Misra-Gries style fan recolouring: build a maximal fan at one endpoint of
-    the uncoloured edge, flip a two-colour alternating path when needed, then
-    rotate a fan prefix.  Always succeeds on simple graphs.  Deterministic:
-    edges are processed in sorted order and every choice takes the smallest
-    candidate.
+    Edges are processed in sorted order.  Edge (u, v) takes the lowest colour
+    c <= max_degree + 1 that is free at both ends when there is one.  Only
+    when every such colour is used at u or at v does it take the Misra-Gries
+    fan step (Misra & Gries, IPL 41, 1992): build a maximal fan at u, flip a
+    two-colour alternating path when needed, then rotate a fan prefix.  The
+    fan step is valid from any partial proper colouring, so the two mix
+    freely, and it always succeeds on simple graphs.  Deterministic: every
+    choice takes the smallest candidate.
 
     Each vertex keeps its colours twice: at[v] maps a colour to the neighbour
     across that edge, and the int bitmask used[v] has bit c set for every
-    colour c at v (bit 0 always set, so it is never a candidate).  The free
-    colour of v is the lowest zero bit of used[v], and the next fan vertex is
+    colour c at v (bit 0 always set, so it is never a candidate).  The lowest
+    common free colour is the lowest zero bit of used[u] | used[v], the free
+    colour of v the lowest zero bit of used[v], and the next fan vertex is
     across the lowest colour in used[u] & ~used[last] & ~taken, where taken
-    holds the colours of the fan so far.  Both are the smallest candidates a
-    scan of the colours in ascending order would pick, so every choice, and
-    with it the colouring, is the one that scan makes.
+    holds the colours of the fan so far.
     """
     at = [dict() for _ in range(g.n + 1)]  # at[v][c] = neighbour across the c-edge
     used = [1] * (g.n + 1)
 
-    def free(v):
-        x = used[v]
-        return ((x + 1) & ~x).bit_length() - 1
+    def lowest_free(mask):
+        # The lowest colour whose bit is clear in mask.
+        return ((mask + 1) & ~mask).bit_length() - 1
 
     def invert_path(u, c, d):
         # Maximal path from u alternating colours d, c, d, ...; swap c <-> d.
@@ -69,7 +72,12 @@ def edge_colour_indices(g):
         used[u] |= 1 << d
         used[w] |= 1 << d
 
+    top = g.max_degree + 1
     for (u, v) in g.edges:
+        c = lowest_free(used[u] | used[v])
+        if c <= top:
+            rotate(u, [v], [], 0, c)  # the one-vertex fan [v] takes c
+            continue
         fan, cols = [v], []  # cols[j] is the colour of the edge (u, fan[j + 1])
         taken = 0
         while True:
@@ -80,8 +88,8 @@ def edge_colour_indices(g):
             fan.append(at[u][c])
             cols.append(c)
             taken |= 1 << c
-        c = free(u)
-        d = free(fan[-1])
+        c = lowest_free(used[u])
+        d = lowest_free(used[fan[-1]])
         if not used[u] >> d & 1:
             rotate(u, fan, cols, len(fan) - 1, d)
             continue

@@ -2,8 +2,9 @@
 
 Subcommands: palette, gen, order, color, verify, exact, experiment.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error or a
-refused run (RunError), 141 stdout closed early by its reader (as after
-SIGPIPE), with nothing written to stderr.
+refused run (RunError, or an exact search past its trial budget), 141
+stdout closed early by its reader (as after SIGPIPE), with nothing written
+to stderr.
 """
 
 from __future__ import annotations

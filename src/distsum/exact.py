@@ -13,9 +13,11 @@ colour, in ascending order, that is proper against the element's earlier
 neighbours and leaves every vertex it completes with a weighted degree unlike
 those of its earlier-completed r-neighbours.  It advances when a colour
 passes and steps back when none is left, so its depth is bounded by memory,
-not by the interpreter's recursion limit.  No numeric symmetry breaking is
-applied: colour permutations do not preserve weighted degrees, so fixing any
-element's colour could miss feasible palettes.
+not by the interpreter's recursion limit.  Its work is bounded by
+TRIAL_BUDGET colour trials per exact_chi call: past that it raises
+SearchBudgetError, so a hard input is refused instead of searched for hours.
+No numeric symmetry breaking is applied: colour permutations do not preserve
+weighted degrees, so fixing any element's colour could miss feasible palettes.
 """
 
 from __future__ import annotations
@@ -58,22 +60,34 @@ def _schedule(g, radius):
     return elements, clashes, completes, parts, earlier
 
 
-def is_feasible(g, radius, palette_size):
-    """Decide whether a proper, sum-distinguishing colouring with colours in
-    [1, palette_size] exists; returns (bool, TotalColouring or None)."""
-    if palette_size < 1:
-        raise ValueError("palette size must be >= 1")
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    elements, clashes, completes, parts, earlier = _schedule(g, radius)
+class SearchBudgetError(ValueError):
+    """The search tried TRIAL_BUDGET colours without an answer."""
+
+
+# Colour trials allowed per exact_chi call (and per lone is_feasible call).
+# A trial sets one element's colour and checks the sums it completes; a
+# million take a few seconds.
+TRIAL_BUDGET = 10 ** 6
+
+
+def _search(schedule, palette_size, budget):
+    """(witness or None, trials used) for one palette size; raises
+    SearchBudgetError once more than `budget` trials would be needed."""
+    elements, clashes, completes, parts, earlier = schedule
     colour = [0] * len(elements)      # 0: not coloured yet
     sums = {}
+    trials = 0
     i = 0
     while 0 <= i < len(elements):
         used = {colour[j] for j in clashes[i]}
         for c in range(colour[i] + 1, palette_size + 1):
             if c in used:
                 continue
+            if trials == budget:
+                raise SearchBudgetError(
+                    f"exact search ran out of its budget of {TRIAL_BUDGET} "
+                    f"colour trials at palette size {palette_size}")
+            trials += 1
             colour[i] = c
             for w in completes[i]:
                 sums[w] = sum(colour[j] for j in parts[w])
@@ -84,21 +98,39 @@ def is_feasible(g, radius, palette_size):
             colour[i] = 0
             i -= 1
     if i < 0:
-        return False, None
+        return None, trials
     vcol = {ends[0]: c for ends, c in zip(elements, colour) if len(ends) == 1}
     ecol = {ends: c for ends, c in zip(elements, colour) if len(ends) == 2}
-    return True, TotalColouring(vcol, ecol)
+    return TotalColouring(vcol, ecol), trials
+
+
+def is_feasible(g, radius, palette_size):
+    """Decide whether a proper, sum-distinguishing colouring with colours in
+    [1, palette_size] exists; returns (bool, TotalColouring or None).
+    Raises SearchBudgetError past TRIAL_BUDGET colour trials."""
+    if palette_size < 1:
+        raise ValueError("palette size must be >= 1")
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    witness, _ = _search(_schedule(g, radius), palette_size, TRIAL_BUDGET)
+    return witness is not None, witness
 
 
 def exact_chi(g, radius, limit):
     """Least palette size admitting a valid colouring, or None past `limit`.
 
     Scans sizes upward from the properness lower bound max_degree + 1
-    (1 for edgeless graphs).
+    (1 for edgeless graphs).  The sizes share one budget of TRIAL_BUDGET
+    colour trials; past it, raises SearchBudgetError (a ValueError).
     """
     lower = max(g.max_degree + 1, 1)
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    schedule = _schedule(g, radius)
+    left = TRIAL_BUDGET
     for p in range(lower, limit + 1):
-        ok, witness = is_feasible(g, radius, p)
-        if ok:
+        witness, trials = _search(schedule, p, left)
+        if witness is not None:
             return p, witness
+        left -= trials
     return None, None

@@ -119,8 +119,34 @@ def test_base_colouring_random_mod_proper(seed):
         assert 1 <= col.vertex_colours[v] <= mod
 
 
-# Golden digests of edge_colour_indices on a fixed set of graphs: a faster fan
-# search must make every choice the same, so every digest stays.
+def first_fit(g):
+    """Oracle: each edge in sorted order takes the lowest colour free at both
+    ends, with no cap; the fast path of edge_colour_indices without the fan."""
+    at = {v: set() for v in g.vertices()}
+    out = {}
+    for u, v in g.edges:
+        c = 1
+        while c in at[u] or c in at[v]:
+            c += 1
+        out[(u, v)] = c
+        at[u].add(c)
+        at[v].add(c)
+    return out
+
+
+@pytest.mark.parametrize("name", ["regular-ish 130 36 seed 1", "complete 6"])
+def test_first_fit_alone_exceeds_max_degree_plus_one(name):
+    # Up to the first edge where first fit passes max_degree + 1, the fast path
+    # makes the same choices; that edge must then take the fan step, so a
+    # result within max_degree + 1 shows the fan, flip and rotate code ran.
+    g = dict(golden_graphs())[name]()
+    assert max(first_fit(g).values()) > g.max_degree + 1
+    assert max(edge_colour_indices(g).values()) <= g.max_degree + 1
+
+
+# Golden digests of edge_colour_indices on a fixed set of graphs: they pin
+# every choice of the common-colour fast path and of the fan step, so a
+# change that alters any colouring must re-record them and say why.
 def _indices_digest(g, indices):
     assert set(indices) == set(g.edges)
     text = "".join(f"{u} {v} {indices[(u, v)]}\n" for u, v in g.edges)
@@ -134,5 +160,8 @@ def test_edge_colour_indices_golden(family):
     for name, make in golden_graphs():
         if name.startswith(family + " "):
             g = make()
-            got[name] = _indices_digest(g, edge_colour_indices(g))
+            indices = edge_colour_indices(g)
+            assert_proper_edges(g, indices)
+            assert max(indices.values()) <= g.max_degree + 1, name
+            got[name] = _indices_digest(g, indices)
     assert got == {k: v for k, v in expected.items() if k.startswith(family + " ")}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from distsum import build_graph, exact_chi, is_feasible, verify
+from distsum import build_graph, exact, exact_chi, is_feasible, verify
 from distsum.colouring import TotalColouring
 from distsum.generate import complete, cycle, path, star
 
@@ -90,6 +90,22 @@ def test_long_path_no_depth_limit():
     value, witness = exact_chi(g, 1, 4)
     assert value == 4
     assert verify(g, witness, 1, bound=4).passed
+
+
+def test_trial_budget_shared_across_sizes(monkeypatch, p3):
+    # P3 at r = 2 fails at size 3 and succeeds at 4; the budget covers both.
+    schedule = exact._schedule(p3, 2)
+    witness, at_3 = exact._search(schedule, 3, exact.TRIAL_BUDGET)
+    assert witness is None
+    _, at_4 = exact._search(schedule, 4, exact.TRIAL_BUDGET)
+    monkeypatch.setattr(exact, "TRIAL_BUDGET", at_3 + at_4)
+    assert exact_chi(p3, 2, 10)[0] == 4
+    monkeypatch.setattr(exact, "TRIAL_BUDGET", at_3 + at_4 - 1)
+    with pytest.raises(exact.SearchBudgetError, match="palette size 4"):
+        exact_chi(p3, 2, 10)
+    monkeypatch.setattr(exact, "TRIAL_BUDGET", at_3 - 1)
+    with pytest.raises(ValueError, match="palette size 3"):
+        is_feasible(p3, 2, 3)
 
 
 # Golden digests of exact_chi: the search must keep its element order,

@@ -123,6 +123,18 @@ def test_exact_subcommand_long_path(tmp_path):
     assert text.splitlines()[0] == "exact result=4"
 
 
+def test_exact_subcommand_budget_refusal(tmp_path, capsys):
+    # K7 at r = 1 has no answer below the trial budget: a refusal, not an
+    # hours-long search.
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "complete", "7", "--output", str(gpath)])
+    code, text = run_cli(["exact", "--input", str(gpath), "--r", "1",
+                          "--limit", "40"])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: exact search ran out")
+
+
 def test_emit_trace(tmp_path):
     gpath, tpath = tmp_path / "g.txt", tmp_path / "trace.txt"
     run_cli(["gen", "path", "5", "--output", str(gpath)])
