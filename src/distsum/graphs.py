@@ -1,13 +1,18 @@
 """Simple undirected graphs plus the degree statistics the colouring pipeline needs.
 
 Vertices are integers 1..n.  Graphs are immutable after construction and safe
-to share between concurrent readers.
+to share between concurrent readers.  The r-ball table holds each vertex's
+r-neighbourhood as an int bitmask (bit u set for each member u), so the
+pipeline's one recurring question, which processed vertices lie within
+distance r, is an AND and a bit count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import or_
 
 
 class GraphError(ValueError):
@@ -29,10 +34,12 @@ class Graph:
         max_degree: maximum neighbour-set size over all vertices
 
     `all_r_neighbourhoods` and `degree_stats` cache their result in
-    `_tables` on first use.  The graph never changes, so a cached table
-    never goes stale, and concurrent readers stay safe: two readers racing
-    on an empty slot both build the same table and either copy is kept.
-    A second Graph with the same edges builds its own tables.
+    `_tables` on first use, keyed ("r_neighbourhoods", radius) and
+    "degree_stats"; an r-ball table holds n bitmasks of n bits, about
+    n**2 / 8 bytes.  The graph never changes, so a cached table never goes
+    stale, and concurrent readers stay safe: two readers racing on an empty
+    slot both build the same table and either copy is kept.  A second Graph
+    with the same edges builds its own tables.
     """
 
     __slots__ = ("n", "edges", "adjacency", "max_degree", "_tables")
@@ -110,18 +117,56 @@ def r_neighbourhood(g, v, radius):
     return nbrs
 
 
-def all_r_neighbourhoods(g, radius):
-    """Per-vertex r-neighbourhoods as sorted tuples, indexed by vertex id.
+class Ball(int):
+    """A vertex set as an int bitmask, bit u set for each member u.
 
-    Built once per (graph, radius) and cached on the graph.
+    It is an int, so `&` with another mask and `bit_count()` work as on any
+    int; `len` is the member count and iteration yields the members in
+    ascending order.
     """
+
+    __slots__ = ()
+    __len__ = int.bit_count
+
+    def __iter__(self):
+        bits = format(self, "b")[::-1]
+        return (u for u, bit in enumerate(bits) if bit == "1")
+
+
+def all_r_neighbourhoods(g, radius):
+    """Per-vertex r-neighbourhoods as Ball bitmasks, indexed by vertex id
+    (index 0 is empty).
+
+    r rounds of B_k(v) = B_{k-1}(v) | OR of B_{k-1}(u) over u in N(v),
+    from B_0(v) = {v}, stopping early once no ball grows; bit v is then
+    cleared, so v is not its own r-neighbour.  Built once per
+    (graph, radius) and cached on the graph.
+    """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
     key = ("r_neighbourhoods", radius)
     table = g._tables.get(key)
     if table is None:
-        table = ((),) + tuple(tuple(sorted(r_neighbourhood(g, v, radius)))
-                              for v in g.vertices())
+        closed = _closed_balls(g, radius)
+        table = (Ball(0),) + tuple(Ball(closed[v] ^ 1 << v) for v in g.vertices())
         g._tables[key] = table
     return table
+
+
+def _closed_balls(g, radius):
+    """Bitmask of every vertex's closed r-ball, v included (0 at index 0).
+
+    Only the list returned outlives the call, so building the table holds
+    at most two lists of n-bit masks at once.
+    """
+    balls = [0] + [1 << v for v in g.vertices()]
+    for _ in range(radius):
+        get = balls.__getitem__
+        grown = [reduce(or_, map(get, nbrs), b) for b, nbrs in zip(balls, g.adjacency)]
+        if grown == balls:
+            break
+        balls = grown
+    return balls
 
 
 @dataclass(frozen=True)
@@ -178,23 +223,27 @@ def backward_stats(g, ordering, radius, mask=None, neighbourhoods=None):
 
     `ordering` is a permutation of the vertices; `mask` is an optional vertex
     set for the masked r-neighbour count (the mask is applied to the whole
-    r-neighbourhood, not only its backward part).
+    r-neighbourhood, not only its backward part).  The r-neighbour counts
+    are bit counts of the vertex's ball ANDed with the earlier vertices and
+    with the mask, each held as a bitmask.
     """
     if sorted(ordering) != list(g.vertices()):
         raise ValueError("ordering must be a permutation of the vertices")
     if neighbourhoods is None:
         neighbourhoods = all_r_neighbourhoods(g, radius)
     big = degree_stats(g).big_set
-    mask = frozenset(mask or ())
+    mask_bits = reduce(or_, (1 << u for u in mask or ()), 0)
 
     back_r_cnt = [0] * (g.n + 1)
     back_big = [0] * (g.n + 1)
     masked = [0] * (g.n + 1)
     earlier = set()                 # the vertices ordered before v
+    earlier_bits = 0                # the same, as a bitmask
     for v in ordering:
         nbrs_r = neighbourhoods[v]
-        back_r_cnt[v] = len(earlier.intersection(nbrs_r))
+        back_r_cnt[v] = (earlier_bits & nbrs_r).bit_count()
         back_big[v] = len(g.adjacency[v] & earlier & big)
-        masked[v] = len(mask.intersection(nbrs_r))
+        masked[v] = (mask_bits & nbrs_r).bit_count()
         earlier.add(v)
+        earlier_bits |= 1 << v
     return BackwardStats(tuple(back_r_cnt), tuple(back_big), tuple(masked))

@@ -23,8 +23,12 @@ r-neighbours.  Offset (0, 0) alone gives one distinct sum per admissible
 base and the other offsets add more; under the certified ordering the
 paper's analysis puts the options (admissible bases times lattice offsets)
 above the backward r-neighbour count.  Each step record keeps those three
-counts, so the margin can be read off.  A step that still finds no free sum
-raises RunError rather than lift a base colour past the modulus.
+counts, so the margin can be read off; the backward count is the number of
+processed r-neighbours, the bit count of v's r-ball ANDed with the
+processed vertices.  A candidate sum w is taken when its owners, the
+bitmask of processed vertices holding w, meet v's r-ball.  A step that
+still finds no free sum raises RunError rather than lift a base colour past
+the modulus.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class StepRecord:
     compensations: list             # [(vertex, delta), ...]
     admissible_count: int
     lattice_size: int
-    backward_r_count: int
+    backward_r_count: int           # processed r-neighbours of vertex
 
 
 @dataclass
@@ -75,13 +79,15 @@ class _Run:
         self.params = params
         self.check_invariants = check_invariants
         self.stats = degree_stats(g)
-        self.nbrs_r = all_r_neighbourhoods(g, radius)
+        self.balls = all_r_neighbourhoods(g, radius)
 
         self.colouring = base_total_colouring(g, params)
         self.alterations = dict.fromkeys(self.colouring.edge_colours, 0)
         self.anchor = {}
         self.target = {}
+        self.owners = {}            # target sum -> bitmask of its processed holders
         self.processed = set()
+        self.processed_mask = 0     # the processed vertices as a bitmask
         self.trace = RunTrace(
             base_vertex_colours=dict(self.colouring.vertex_colours),
             base_edge_colours=dict(self.colouring.edge_colours))
@@ -159,8 +165,9 @@ class _Run:
         big_pos, big_neg = len(groups[modulus]), len(groups[-modulus])
         small_pos, small_neg = len(groups[step]), len(groups[-step])
         lattice_size = (big_neg + big_pos + 1) * (small_neg + small_pos + 1)
-        taken = set(map(self.target.__getitem__,
-                        self.processed.intersection(self.nbrs_r[v])))
+        ball = self.balls[v]
+        holders = self.owners.get
+        backward_r_count = (self.processed_mask & ball).bit_count()
         admissible_count = modulus - len(forbidden)
 
         # Offsets are tried nearest first; (0, 0) leads that order, so it is
@@ -171,7 +178,7 @@ class _Run:
             if base % modulus in forbidden:
                 continue
             w0 = base + edge_sum
-            if w0 not in taken:
+            if not holders(w0, 0) & ball:
                 choice = (base, w0, 0, 0)
                 break
             if offsets is None:
@@ -180,7 +187,7 @@ class _Run:
                     for i in range(-big_neg, big_pos + 1)
                     for j in range(-small_neg, small_pos + 1))
             for _, shift, i, j in offsets:
-                if w0 + shift not in taken:
+                if not holders(w0 + shift, 0) & ball:
                     choice = (base, w0 + shift, i, j)
                     break
             if choice is not None:
@@ -189,7 +196,7 @@ class _Run:
             raise RunError(
                 f"vertex {v}: no free target sum among {admissible_count} "
                 f"admissible bases x {lattice_size} lattice offsets, "
-                f"{len(taken)} sums taken")
+                f"{backward_r_count} processed r-neighbours")
 
         base_colour, target, need_big, need_small = choice
         edge_deltas = []
@@ -207,10 +214,12 @@ class _Run:
         self.colouring.vertex_colours[v] = base_colour
         self.anchor[v] = base_colour
         self.target[v] = target
+        self.owners[target] = holders(target, 0) | 1 << v
         self.processed.add(v)
+        self.processed_mask |= 1 << v
 
         rec = StepRecord(v, base_colour, target, edge_deltas, compensations,
-                         admissible_count, lattice_size, len(taken))
+                         admissible_count, lattice_size, backward_r_count)
         self.trace.steps.append(rec)
         if self.check_invariants:
             self._check_state(v, g.adjacency[v] | {v})

@@ -2,11 +2,13 @@
 
 Checks raw-colour properness (not the modular variant), weighted-degree
 distinctness for every vertex pair within the radius, and an optional palette
-bound.  Distances come from per-vertex BFS truncated at the radius; nothing
-here depends on how the colouring was produced.  Only a vertex whose weighted
-degree some later vertex shares can be the first of an equal-sums pair, so
-the BFS runs only from such a vertex; the witnesses and their order are those
-of a BFS from every vertex.
+bound.  Nothing here depends on how the colouring was produced, and this
+module builds its own distance tables.  Each vertex's closed r-ball is an
+int bitmask from r rounds of B_k(v) = B_{k-1}(v) | OR of B_{k-1}(u) over
+u in N(v), from B_0(v) = {v}.  A vertex is the first of an equal-sums pair
+only when its ball meets a later vertex with the same weighted degree, so
+a BFS truncated at the radius runs only from such a vertex, to put its
+witnesses in the order a BFS from every vertex would find them.
 
 The incidence check costs O(m): one pass over each vertex's incident edge
 colours, which also sums its weighted degree.  Only a vertex whose colours
@@ -19,7 +21,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .graphs import edge_key
 
@@ -52,6 +56,18 @@ def _truncated_bfs(adjacency, v, radius):
                     nxt.append(u)
         frontier = nxt
     return out
+
+
+def _closed_balls(adjacency, radius):
+    """Bitmask of every vertex's closed r-ball, v itself included."""
+    balls = [1 << v for v in range(len(adjacency))]
+    for _ in range(radius):
+        get = balls.__getitem__
+        grown = [reduce(or_, map(get, nbrs), b) for b, nbrs in zip(balls, adjacency)]
+        if grown == balls:
+            break
+        balls = grown
+    return balls
 
 
 def verify(g, colouring, radius, bound=None):
@@ -95,16 +111,17 @@ def verify(g, colouring, radius, bound=None):
         for a, b in clashes:
             note(("adjacent-edges", (edge_key(v, a), edge_key(v, b))))
 
-    pending = defaultdict(set)      # sum -> vertices not yet visited
+    pending = defaultdict(int)      # sum -> bitmask of vertices not yet visited
     for v in g.vertices():
-        pending[sums[v]].add(v)
+        pending[sums[v]] |= 1 << v
+    balls = _closed_balls(g.adjacency, radius)
     for v in g.vertices():
-        later = pending[sums[v]]        # the later vertices sharing v's sum
-        later.discard(v)
-        if not later:
+        pending[sums[v]] ^= 1 << v
+        near = pending[sums[v]] & balls[v]  # later vertices within r sharing v's sum
+        if not near:
             continue
         for u in _truncated_bfs(g.adjacency, v, radius):
-            if u in later:
+            if near >> u & 1:
                 note(("equal-sums", (v, u)))
 
     report.max_colour = colouring.max_colour()

@@ -163,14 +163,25 @@ def _reference_balls(g, max_radius):
 
 def _kernel_graphs(family):
     """The golden-digest graphs of one family, or for "sparse" graphs with
-    isolated vertices and several components."""
+    isolated vertices and several components; the last one has vertex ids
+    up to 360, which span many digits of a Python int."""
     if family != "sparse":
         return [(name, make()) for name, make in golden_graphs()
                 if name.startswith(family + " ")]
     return [("edgeless 0", build_graph(0, [])), ("edgeless 5", build_graph(5, [])),
             ("pieces 12", build_graph(12, [(1, 2), (2, 3), (5, 6), (6, 7), (7, 5), (9, 10)]))
             ] + [(f"pieces 64 seed {seed}", component_graph(64, (20, 25, 15), 0.15, seed))
-                 for seed in range(4)]
+                 for seed in range(4)
+            ] + [("pieces 360", component_graph(360, (200, 150), 0.012, 1))]
+
+
+def _as_tuples(table):
+    """An r-ball table as the reference form: each entry's members as a
+    sorted tuple, checked against the entry's len, which the benchmark's
+    tracer reads."""
+    members = [tuple(b) for b in table]
+    assert [len(b) for b in table] == [len(t) for t in members]
+    return members
 
 
 @pytest.mark.parametrize("family", ["regular-ish", "complete", "gnp", "sparse"])
@@ -178,7 +189,7 @@ def test_r_neighbourhood_tables_match_reference_bfs(family):
     for name, g in _kernel_graphs(family):
         reference = _reference_balls(g, 4)
         for r in (1, 2, 3, 4):
-            assert list(all_r_neighbourhoods(g, r)) == reference[r], (name, r)
+            assert _as_tuples(all_r_neighbourhoods(g, r)) == reference[r], (name, r)
 
 
 def _backward_oracle(g, ordering, mask, nbrs_r):
@@ -237,7 +248,7 @@ def test_concurrent_readers_get_complete_tables():
     results = []
 
     def read():
-        results.append((list(all_r_neighbourhoods(g, 2)), degree_stats(g)))
+        results.append((_as_tuples(all_r_neighbourhoods(g, 2)), degree_stats(g)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -251,4 +262,4 @@ def test_concurrent_readers_get_complete_tables():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 8
-    assert list(all_r_neighbourhoods(g, 2)) == expected[0]
+    assert _as_tuples(all_r_neighbourhoods(g, 2)) == expected[0]

@@ -280,6 +280,27 @@ def _run_digest(g, radius, seed):
 
 
 @pytest.mark.parametrize("family", ["regular-ish", "complete", "gnp"])
+def test_backward_count_is_processed_r_neighbours(family):
+    # the count the counting argument bounds: every vertex earlier in the
+    # ordering within BFS distance r, which holds one sum each, so it is
+    # at least the number of distinct sums they hold
+    for name, make, radius, seed in _run_cases():
+        if not name.startswith(family + " "):
+            continue
+        g = make()
+        _, trace, cert = run(g, radius, seed)
+        assert [rec.vertex for rec in trace.steps] == cert.ordering
+        pos = {v: i for i, v in enumerate(cert.ordering)}
+        target = {rec.vertex: rec.target_sum for rec in trace.steps}
+        dist = apsp(g)
+        for rec in trace.steps:
+            v = rec.vertex
+            near = [u for u, d in dist[v].items() if 1 <= d <= radius and pos[u] < pos[v]]
+            assert rec.backward_r_count == len(near), (name, radius, v)
+            assert rec.backward_r_count >= len({target[u] for u in near})
+
+
+@pytest.mark.parametrize("family", ["regular-ish", "complete", "gnp"])
 def test_run_golden_digests(family):
     expected = json.loads((Path(__file__).parent / "run_digests.json").read_text())
     got = {f"{name}, r={radius}, run seed {seed}": _run_digest(make(), radius, seed)

@@ -142,16 +142,13 @@ def test_random_corruptions_match_pairwise_oracle(seed):
 
 # -- equal-sums witnesses against a pairwise oracle -------------------------
 
-def _equal_sums_oracle(g, col, radius):
+def _equal_sums_oracle(g, col, radius, dist):
     """Every vertex pair u > v at BFS distance <= radius with equal weighted
-    degrees, ordered by v and then by when a BFS from v reaches u."""
+    degrees, ordered by v and then by when a BFS from v reaches u; `dist`
+    is apsp(g), so each dist[v] is in BFS order from v."""
     sums = {v: col.weighted_degree(g, v) for v in g.vertices()}
-    dist = apsp(g)                        # each dist[v] is in BFS order from v
-    rank = {v: {u: i for i, u in enumerate(dist[v])} for v in g.vertices()}
-    pairs = [(v, u) for v in g.vertices() for u in g.vertices()
-             if u > v and sums[u] == sums[v] and dist[v].get(u, radius + 1) <= radius]
-    pairs.sort(key=lambda p: (p[0], rank[p[0]][p[1]]))
-    return [("equal-sums", p) for p in pairs]
+    return [("equal-sums", (v, u)) for v in g.vertices() for u, d in dist[v].items()
+            if u > v and d <= radius and sums[u] == sums[v]]
 
 
 def _equal_sums(g, col, radius):
@@ -174,11 +171,14 @@ def _pairs_at(g, dist, radius, exact):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
 def test_equal_sums_match_pairwise_oracle(seed, radius):
     rng = random.Random(100 * seed + radius)
+    # the third graph has vertex ids past 200, many bits into a ball mask,
+    # and thousands of pairs at distance exactly r + 1
     graphs = [random_graph(35, 0.08, seed),
-              component_graph(40, (12, 9, 9, 1), 0.25, seed)]
+              component_graph(40, (12, 9, 9, 1), 0.25, seed),
+              random_graph(220, 0.012, seed)]
     for g in graphs:
         dist = apsp(g)
         near = _pairs_at(g, dist, radius, exact=False)
@@ -190,13 +190,13 @@ def test_equal_sums_match_pairwise_oracle(seed, radius):
             for a, b in forced:
                 _force_equal(g, col, a, b)
             got = _equal_sums(g, col, radius)
-            assert got == _equal_sums_oracle(g, col, radius)
+            assert got == _equal_sums_oracle(g, col, radius, dist)
             for a, b in forced:
                 if col.weighted_degree(g, a) == col.weighted_degree(g, b):
                     assert (("equal-sums", (a, b)) in got) == (dist[a][b] <= radius)
         # many natural collisions: small colours make sums repeat everywhere
         col = _random_colouring(g, rng, 3)
-        assert _equal_sums(g, col, radius) == _equal_sums_oracle(g, col, radius)
+        assert _equal_sums(g, col, radius) == _equal_sums_oracle(g, col, radius, dist)
 
 
 def test_equal_sums_cases_are_exercised():
@@ -213,4 +213,4 @@ def test_equal_sums_cases_are_exercised():
     col = _random_colouring(g, random.Random(1), 10 ** 6)
     a, b = 1, 13                                      # different components
     _force_equal(g, col, a, b)
-    assert _equal_sums(g, col, 10) == _equal_sums_oracle(g, col, 10) == []
+    assert _equal_sums(g, col, 10) == _equal_sums_oracle(g, col, 10, dist) == []
