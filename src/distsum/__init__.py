@@ -2,8 +2,7 @@
 
 from .colouring import TotalColouring
 from .exact import exact_chi, is_feasible
-from .graphs import (Graph, GraphError, backward_stats, build_graph,
-                     degree_stats, r_neighbourhood)
+from .graphs import Graph, GraphError, backward_stats, build_graph, degree_stats
 from .ordering import (OrderingCertificate, check_conditions,
                        resample_until_valid)
 from .palette import (PaletteParams, check_disjoint_shifts, compute_params,
@@ -12,7 +11,7 @@ from .recolour import RunTrace, replay, run
 from .verify import VerificationReport, verify
 
 __all__ = [
-    "Graph", "GraphError", "build_graph", "degree_stats", "r_neighbourhood",
+    "Graph", "GraphError", "build_graph", "degree_stats",
     "backward_stats", "PaletteParams", "compute_params", "check_disjoint_shifts",
     "headline_bound", "TotalColouring", "OrderingCertificate",
     "check_conditions", "resample_until_valid",

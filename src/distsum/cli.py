@@ -16,11 +16,9 @@ import sys
 
 from . import exact as exact_mod
 from . import files, generate, recolour
-from .graphs import GraphError
 from .ordering import resample_until_valid
-from .palette import (PaletteError, check_disjoint_shifts, compute_params,
-                      headline_bound)
-from .verify import IncompleteColouringError, verify
+from .palette import check_disjoint_shifts, compute_params, headline_bound
+from .verify import verify
 
 
 def _write(text, path, out):
@@ -35,15 +33,14 @@ def _write(text, path, out):
 def _print_palette(args, out):
     params = compute_params(args.delta, args.r)
     ok, witness = check_disjoint_shifts(params)
-    record = (f"palette delta={args.delta} r={args.r} step={params.step} "
-              f"modulus={params.modulus} size={params.size} "
-              f"palette_max={params.palette_max} shifts_disjoint={str(ok).lower()}")
-    out.write(record + "\n")
-    out.write(f"{'field':<16}{'value'}\n")
     rows = [("max degree", args.delta), ("radius", args.r),
             ("step", params.step), ("modulus", params.modulus),
             ("palette size", params.size), ("palette max", params.palette_max),
             ("headline bound", f"{headline_bound(args.delta, args.r):.1f}")]
+    out.write(f"palette delta={args.delta} r={args.r} step={params.step} "
+              f"modulus={params.modulus} size={params.size} "
+              f"palette_max={params.palette_max} shifts_disjoint={str(ok).lower()}\n")
+    out.write(f"{'field':<16}{'value'}\n")
     for name, value in rows:
         out.write(f"{name:<16}{value}\n")
     for lo, hi in params.intervals:
@@ -61,6 +58,8 @@ def _cmd_gen(args, out):
 
 
 def _cmd_order(args, out):
+    if args.r < 1:
+        raise ValueError("radius must be >= 1")
     g = files.parse_graph(args.input)
     radius = max(args.r, 2)
     cert = resample_until_valid(g, radius, args.seed)
@@ -140,22 +139,21 @@ EXPERIMENT_COLUMNS = ("kind", "params", "n", "m", "maxdeg", "r", "seed",
 
 
 def parse_grid_lines(lines):
-    """Grid rows '<kind> <size params...> <r> <seed>', '#' comments."""
+    """Grid rows '<kind> <size params...> <r> <seed>', read by files.records."""
     grid = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        arity = generate.KIND_ARITY.get(kind)
-        if arity is None:
+    for lineno, fields in files.records(lines):
+        kind = fields[0]
+        if kind not in generate.KINDS:
             raise files.FormatError(f"line {lineno}: unknown kind {kind!r}")
-        if len(parts) != arity + 3:
+        arity = len(generate.KINDS[kind][1])
+        if len(fields) != arity + 3:
             raise files.FormatError(
                 f"line {lineno}: {kind} takes {arity} size parameters, r, seed")
-        grid.append((kind, parts[1:1 + arity],
-                     int(parts[-2]), int(parts[-1])))
+        try:
+            radius, seed = int(fields[-2]), int(fields[-1])
+        except ValueError:
+            raise files.FormatError(f"line {lineno}: non-integer r or seed") from None
+        grid.append((kind, fields[1:1 + arity], radius, seed))
     return grid
 
 
@@ -183,7 +181,7 @@ def run_experiment(grid):
 
 def _cmd_experiment(args, out):
     with open(args.grid, encoding="utf-8") as fh:
-        grid = parse_grid_lines(fh.readlines())
+        grid = parse_grid_lines(fh)
     rows = run_experiment(grid)
     text = "\n".join("\t".join(str(cell) for cell in row) for row in rows) + "\n"
     _write(text, args.output, out)
@@ -203,7 +201,7 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
 
     p = sub.add_parser("gen", help="generate a graph")
-    p.add_argument("kind", choices=sorted(generate.KIND_ARITY))
+    p.add_argument("kind", choices=sorted(generate.KINDS))
     p.add_argument("params", nargs="*")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
@@ -278,8 +276,8 @@ def main(argv=None, out=None):
         if to_stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (files.FormatError, GraphError, PaletteError, recolour.RunError,
-            IncompleteColouringError, ValueError, OSError) as exc:
+    # FormatError, GraphError, PaletteError, IncompleteColouringError: ValueErrors
+    except (ValueError, recolour.RunError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

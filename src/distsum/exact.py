@@ -110,8 +110,6 @@ def is_feasible(g, radius, palette_size):
     Raises SearchBudgetError past TRIAL_BUDGET colour trials."""
     if palette_size < 1:
         raise ValueError("palette size must be >= 1")
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
     witness, _ = _search(_schedule(g, radius), palette_size, TRIAL_BUDGET)
     return witness is not None, witness
 
@@ -124,8 +122,6 @@ def exact_chi(g, radius, limit):
     colour trials; past it, raises SearchBudgetError (a ValueError).
     """
     lower = max(g.max_degree + 1, 1)
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
     schedule = _schedule(g, radius)
     left = TRIAL_BUDGET
     for p in range(lower, limit + 1):

@@ -1,6 +1,6 @@
 """Flat-file formats: edge-list graphs and total-colouring documents.
 
-Graph format (1-indexed, whitespace separated, '#' comments):
+Graph format (1-indexed; `records` drops '#' comments in every format):
 
     p <n> <m>
     e <u> <v>        (m lines)
@@ -25,34 +25,39 @@ class FormatError(ValueError):
     """Malformed input file; the message carries the line number."""
 
 
+_COLOURING_FIELDS = {"v": 3, "E": 4, "w": 3}  # record tag -> field count
+
+
+def records(lines):
+    """Yield (line number, fields) for each non-blank line, '#' comment removed."""
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
+
+
 def parse_graph_lines(lines):
     n = m = None
     edges = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 3:
-                raise FormatError(f"line {lineno}: header needs 'p <n> <m>'")
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer header field")
-        elif parts[0] == "e":
+    for lineno, fields in records(lines):
+        tag = fields[0]
+        if tag == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before header")
-            if len(parts) != 3:
-                raise FormatError(f"line {lineno}: edge needs 'e <u> <v>'")
-            try:
-                edges.append((int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer endpoint")
+        elif tag != "p":
+            raise FormatError(f"line {lineno}: unknown record {tag!r}")
+        elif n is not None:
+            raise FormatError(f"line {lineno}: duplicate header")
+        if len(fields) != 3:
+            raise FormatError(f"line {lineno}: {tag!r} record needs 3 fields")
+        try:
+            a, b = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer field") from None
+        if tag == "e":
+            edges.append((a, b))
         else:
-            raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
+            n, m = a, b
     if n is None:
         raise FormatError("missing 'p <n> <m>' header")
     if len(edges) != m:
@@ -65,7 +70,7 @@ def parse_graph_lines(lines):
 
 def parse_graph(pathname):
     with open(pathname, encoding="utf-8") as fh:
-        return parse_graph_lines(fh.readlines())
+        return parse_graph_lines(fh)
 
 
 def format_graph(g):
@@ -85,33 +90,38 @@ def format_colouring(g, colouring, meta):
 
 def parse_colouring_lines(lines):
     """Returns (meta dict, TotalColouring); 'w' lines are ignored on input
-    (they are derived data)."""
+    (they are derived data).  A repeated 'v' or 'E' record is refused."""
     meta = {}
     vcol = {}
     ecol = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, fields in records(lines):
+        tag = fields[0]
+        if tag == "meta":
+            for token in fields[1:]:
+                key, _, value = token.partition("=")
+                meta[key] = value
             continue
-        parts = line.split()
+        size = _COLOURING_FIELDS.get(tag)
+        if size is None:
+            raise FormatError(f"line {lineno}: unknown record {tag!r}")
+        if len(fields) != size:
+            raise FormatError(f"line {lineno}: {tag!r} record needs {size} fields")
+        if tag == "w":
+            continue
         try:
-            if parts[0] == "meta":
-                for token in parts[1:]:
-                    key, _, value = token.partition("=")
-                    meta[key] = value
-            elif parts[0] == "v" and len(parts) == 3:
-                vcol[int(parts[1])] = int(parts[2])
-            elif parts[0] == "E" and len(parts) == 4:
-                ecol[edge_key(int(parts[1]), int(parts[2]))] = int(parts[3])
-            elif parts[0] == "w" and len(parts) == 3:
-                continue
+            if tag == "v":
+                table, key, colour = vcol, int(fields[1]), int(fields[2])
             else:
-                raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
+                table, key = ecol, edge_key(int(fields[1]), int(fields[2]))
+                colour = int(fields[3])
         except ValueError:
-            raise FormatError(f"line {lineno}: non-integer field")
+            raise FormatError(f"line {lineno}: non-integer field") from None
+        if key in table:
+            raise FormatError(f"line {lineno}: duplicate {tag!r} record for {key}")
+        table[key] = colour
     return meta, TotalColouring(vcol, ecol)
 
 
 def parse_colouring(pathname):
     with open(pathname, encoding="utf-8") as fh:
-        return parse_colouring_lines(fh.readlines())
+        return parse_colouring_lines(fh)

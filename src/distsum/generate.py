@@ -58,22 +58,23 @@ def regular_ish(n, d, seed):
     return build_graph(n, sorted(edges))
 
 
+# kind -> (maker, types of its size parameters, whether it takes the seed)
+KINDS = {
+    "path": (path, (int,), False),
+    "cycle": (cycle, (int,), False),
+    "complete": (complete, (int,), False),
+    "star": (star, (int,), False),
+    "gnp": (gnp, (int, float), True),
+    "regular-ish": (regular_ish, (int, int), True),
+}
+
+
 def from_spec(kind, args, seed):
     """Dispatch used by the CLI: kind name plus positional size parameters."""
-    if kind == "path":
-        return path(int(args[0]))
-    if kind == "cycle":
-        return cycle(int(args[0]))
-    if kind == "complete":
-        return complete(int(args[0]))
-    if kind == "star":
-        return star(int(args[0]))
-    if kind == "gnp":
-        return gnp(int(args[0]), float(args[1]), seed)
-    if kind == "regular-ish":
-        return regular_ish(int(args[0]), int(args[1]), seed)
-    raise ValueError(f"unknown graph kind {kind!r}")
-
-
-KIND_ARITY = {"path": 1, "cycle": 1, "complete": 1, "star": 1,
-              "gnp": 2, "regular-ish": 2}
+    if kind not in KINDS:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    maker, types, seeded = KINDS[kind]
+    if len(args) != len(types):
+        raise ValueError(f"{kind} takes {len(types)} size parameters, got {len(args)}")
+    values = [convert(arg) for convert, arg in zip(types, args)]
+    return maker(*values, seed) if seeded else maker(*values)

@@ -74,18 +74,15 @@ def build_graph(n, edges):
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
     adjacency = [set() for _ in range(n + 1)]
-    seen = set()
     canon = []
     for idx, (u, v) in enumerate(edges):
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise GraphError(f"edge {idx}: endpoint out of range in ({u}, {v})")
         if u == v:
             raise GraphError(f"edge {idx}: self-loop at vertex {u}")
-        key = edge_key(u, v)
-        if key in seen:
-            raise GraphError(f"edge {idx}: duplicate edge {key}")
-        seen.add(key)
-        canon.append(key)
+        if v in adjacency[u]:
+            raise GraphError(f"edge {idx}: duplicate edge {edge_key(u, v)}")
+        canon.append(edge_key(u, v))
         adjacency[u].add(v)
         adjacency[v].add(u)
     max_degree = max((len(a) for a in adjacency[1:]), default=0)
@@ -106,15 +103,6 @@ def ball(g, sources, radius):
             break
         seen |= frontier
     return seen
-
-
-def r_neighbourhood(g, v, radius):
-    """All vertices u != v within distance `radius` of v (BFS to that depth)."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    nbrs = ball(g, (v,), radius)
-    nbrs.discard(v)
-    return nbrs
 
 
 class Ball(int):

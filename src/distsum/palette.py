@@ -21,6 +21,7 @@ get an exact answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context
 
@@ -184,9 +185,14 @@ def check_disjoint_shifts(params):
 
 def headline_bound(max_degree, radius):
     """Real-valued palette bound the construction targets asymptotically:
-    2*D^(r-1) + 5*D^(r-4/3)*ln(D)^2 + 16*D + 6."""
-    import math
-    return (2.0 * max_degree ** (radius - 1)
-            + 5.0 * max_degree ** (radius - 4.0 / 3.0) * math.log(max_degree) ** 2
-            + 16.0 * max_degree + 6.0)
+    2*D^(r-1) + 5*D^(r-4/3)*ln(D)^2 + 16*D + 6; PaletteError past the float range."""
+    try:
+        value = (2.0 * max_degree ** (radius - 1)
+                 + 5.0 * max_degree ** (radius - 4.0 / 3.0) * math.log(max_degree) ** 2
+                 + 16.0 * max_degree + 6.0)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise PaletteError(f"headline bound overflows a float at r={radius}")
+    return value
 

@@ -29,7 +29,7 @@ from .graphs import edge_key
 
 
 class IncompleteColouringError(ValueError):
-    """A vertex or edge is missing a colour assignment."""
+    """A vertex or edge has no colour, or a colour names one the graph lacks."""
 
 
 @dataclass
@@ -74,18 +74,19 @@ def verify(g, colouring, radius, bound=None):
     """Check a total colouring of g; returns a VerificationReport.
 
     Violations are (kind, witness) pairs; the report passes iff none were
-    collected.  Raises IncompleteColouringError when an element has no colour.
+    collected.  Raises IncompleteColouringError unless exactly g is coloured.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     vcol = colouring.vertex_colours
     ecol = colouring.edge_colours
-    for v in g.vertices():
-        if v not in vcol:
-            raise IncompleteColouringError(f"vertex {v} has no colour")
-    for key in g.edges:
-        if key not in ecol:
-            raise IncompleteColouringError(f"edge {key} has no colour")
+    for name, own, given in (("vertex", g.vertices(), vcol), ("edge", g.edges, ecol)):
+        missing = own - given.keys()
+        if missing:
+            raise IncompleteColouringError(f"{name} {min(missing)} has no colour")
+        if len(given) > len(own):
+            foreign = min(given.keys() - own)
+            raise IncompleteColouringError(f"{name} {foreign} is not in the graph")
 
     report = VerificationReport()
     note = report.violations.append

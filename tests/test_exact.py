@@ -54,6 +54,14 @@ def test_edgeless_single_colour():
     assert witness.vertex_colours == {1: 1, 2: 1, 3: 1}
 
 
+@pytest.mark.parametrize("radius", [0, -2])
+def test_radius_below_one_refused(p3, radius):
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        exact_chi(p3, radius, 10)
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        is_feasible(p3, radius, 4)
+
+
 def test_limit_sentinel(p3):
     assert exact_chi(p3, 2, 3) == (None, None)
 

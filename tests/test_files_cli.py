@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -34,10 +35,43 @@ def test_parse_graph_p3_with_comment():
     (["e 1 2"], "edge before header"),
     (["p 2 1", "e 1 two"], "line 2"),
     (["p 2 1", "q 1 2"], "unknown record"),
+    (["p 2 1", "", "p 2 1"], "line 3: duplicate header"),
+    (["p 2"], "line 1: 'p' record needs 3 fields"),
+    (["p 2 1", "e 1 2 3"], "line 2: 'e' record needs 3 fields"),
+    (["p two 1"], "line 1: non-integer field"),
+    (["# only a comment", ""], "missing 'p <n> <m>' header"),
+    (["p 2 2", "e 1 2", "e 2 1"], "duplicate edge"),
+    (["p 2 1", "e 1 3"], "out of range"),
 ])
 def test_parse_graph_errors(lines, msg):
     with pytest.raises(FormatError, match=msg):
         parse_graph_lines(lines)
+
+
+@pytest.mark.parametrize("lines,msg", [
+    (["q 1 2"], "line 1: unknown record 'q'"),
+    (["meta n=2", "v 1"], "line 2: 'v' record needs 3 fields"),
+    (["E 1 2"], "line 1: 'E' record needs 4 fields"),
+    (["w 1 2 3"], "line 1: 'w' record needs 3 fields"),
+    (["# c", "v 1 x"], "line 2: non-integer field"),
+    (["E 1 two 3"], "line 1: non-integer field"),
+    (["v 1 3", "v 2 4", "v 1 3"], "line 3: duplicate 'v' record for 1"),
+    (["E 1 2 5", "E 2 1 6"], r"line 2: duplicate 'E' record for \(1, 2\)"),
+], ids=["unknown-tag", "short-v", "short-E", "long-w", "non-integer-v",
+        "non-integer-E", "duplicate-v", "duplicate-E"])
+def test_parse_colouring_errors(lines, msg):
+    with pytest.raises(FormatError, match=msg):
+        parse_colouring_lines(lines)
+
+
+def test_readers_skip_comments_and_blank_lines():
+    g = parse_graph_lines(["p 2 1  # header", "", "   ", "e 1 2 # edge"])
+    assert g.edges == ((1, 2),)
+    meta, col = parse_colouring_lines(
+        ["meta n=2 # run", "", "v 1 1", "v 2 2 # second", "E 1 2 3", "w 1 4  # derived"])
+    assert meta == {"n": "2"}
+    assert (col.vertex_colours, col.edge_colours) == ({1: 1, 2: 2}, {(1, 2): 3})
+    assert parse_grid_lines(["", "path 4 2 1  # four", "#"]) == [("path", ["4"], 2, 1)]
 
 
 def test_graph_round_trip(tmp_path):
@@ -103,6 +137,43 @@ def test_order_subcommand(tmp_path):
     assert lines[0].startswith("cert seed=4 r=2")
     order_line = next(l for l in lines if l.startswith("order "))
     assert sorted(int(tok) for tok in order_line.split()[1:]) == list(range(1, 10))
+
+
+@pytest.mark.parametrize("radius", ["0", "-3"])
+def test_order_refuses_radius_below_one(tmp_path, capsys, radius):
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "cycle", "9", "--output", str(gpath)])
+    assert run_cli(["order", "--input", str(gpath), "--r", radius,
+                    "--seed", "4"]) == (2, "")
+    assert capsys.readouterr().err == "error: radius must be >= 1\n"
+
+
+def test_order_lifts_radius_one_to_two(tmp_path):
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "cycle", "9", "--output", str(gpath)])
+    code, text = run_cli(["order", "--input", str(gpath), "--r", "1", "--seed", "4"])
+    assert code == 0 and text.startswith("cert seed=4 r=2 ")
+
+
+@pytest.mark.parametrize("extra,msg", [
+    ("v 99 100000", "error: vertex 99 is not in the graph"),
+    ("E 1 3 7", r"error: edge \(1, 3\) is not in the graph"),
+    ("v 1 3", "error: line 13: duplicate 'v' record for 1"),
+    ("E 2 1 9", r"error: line 13: duplicate 'E' record for \(1, 2\)"),
+], ids=["foreign-vertex", "non-edge", "repeated-vertex", "repeated-edge"])
+def test_verify_refuses_colouring_of_another_graph(tmp_path, capsys, extra, msg):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    run_cli(["gen", "path", "4", "--output", str(gpath)])
+    run_cli(["color", "--input", str(gpath), "--r", "2", "--seed", "1",
+             "--output", str(cpath)])
+    assert len(cpath.read_text().splitlines()) == 12
+    with open(cpath, "a", encoding="utf-8") as fh:
+        fh.write(extra + "\n")
+    capsys.readouterr()
+    assert run_cli(["verify", "--input", str(gpath), "--colouring", str(cpath),
+                    "--r", "2"]) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(msg, err[0])
 
 
 def test_exact_subcommand(tmp_path):
@@ -207,6 +278,25 @@ def test_parse_grid():
         parse_grid_lines(["gnp 30 2 1"])
 
 
+@pytest.mark.parametrize("lines,msg", [
+    (["path 4 2 1", "blob 3 2 1"], "line 2: unknown kind 'blob'"),
+    (["gnp 30 2 1"], "line 1: gnp takes 2 size parameters, r, seed"),
+    (["path 4 5 2 1"], "line 1: path takes 1 size parameters, r, seed"),
+    (["# grid", "path 4 x 1"], "line 2: non-integer r or seed"),
+    (["path 4 2 1.5"], "line 1: non-integer r or seed"),
+], ids=["unknown-kind", "too-few", "too-many", "non-integer-r", "non-integer-seed"])
+def test_parse_grid_errors(lines, msg):
+    with pytest.raises(FormatError, match=msg):
+        parse_grid_lines(lines)
+
+
+def test_experiment_cli_grid_error_names_line(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("path 8 2 1\npath 4 x 1\n")
+    assert run_cli(["experiment", "--grid", str(grid)]) == (2, "")
+    assert capsys.readouterr().err == "error: line 2: non-integer r or seed\n"
+
+
 def test_experiment_rows_and_determinism(tmp_path):
     grid = [("gnp", ["25", "0.12"], 2, 3), ("cycle", ["9"], 2, 1),
             ("star", ["6"], 2, 2)]
@@ -235,6 +325,16 @@ def test_experiment_cli(tmp_path):
 def test_experiment_bad_parameters_become_row():
     rows = run_experiment([("cycle", ["2"], 2, 1)])
     assert rows[1][-1].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path"], ["gen", "gnp", "5"], ["gen", "path", "3", "9"],
+    ["gen", "regular-ish", "10", "3", "4"],
+], ids=["path-none", "gnp-one", "path-two", "regular-ish-three"])
+def test_gen_refuses_wrong_parameter_count(argv, capsys):
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {argv[1]} takes ")
 
 
 def test_gen_determinism():

@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from distsum import GraphError, build_graph, degree_stats, r_neighbourhood
+from distsum import GraphError, build_graph, degree_stats
 from distsum.graphs import all_r_neighbourhoods, backward_stats, ball
 
 from conftest import apsp, component_graph, golden_graphs, random_graph
@@ -35,20 +35,20 @@ def test_build_rejects(edges, msg):
 
 
 def test_r_neighbourhood_p3(p3):
-    assert r_neighbourhood(p3, 1, 1) == {2}
-    assert r_neighbourhood(p3, 1, 2) == {2, 3}
+    assert set(all_r_neighbourhoods(p3, 1)[1]) == {2}
+    assert set(all_r_neighbourhoods(p3, 2)[1]) == {2, 3}
 
 
 def test_r_neighbourhood_c5(c5):
     # oracle: all-pairs shortest paths
     dist = apsp(c5)
     expected = {u for u, d in dist[1].items() if 1 <= d <= 2}
-    assert r_neighbourhood(c5, 1, 2) == expected == {2, 3, 4, 5}
+    assert set(all_r_neighbourhoods(c5, 2)[1]) == expected == {2, 3, 4, 5}
 
 
 def test_r_neighbourhood_disconnected():
     g = build_graph(4, [(1, 2), (3, 4)])
-    assert r_neighbourhood(g, 1, 3) == {2}
+    assert set(all_r_neighbourhoods(g, 3)[1]) == {2}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -58,7 +58,7 @@ def test_r_neighbourhood_matches_apsp(seed):
     for r in (1, 2, 3):
         for v in g.vertices():
             expected = {u for u, d in dist[v].items() if 1 <= d <= r}
-            assert r_neighbourhood(g, v, r) == expected
+            assert set(all_r_neighbourhoods(g, r)[v]) == expected
 
 
 def test_neighbourhood_size_bounds():
@@ -66,7 +66,7 @@ def test_neighbourhood_size_bounds():
     stats = degree_stats(g)
     for r in (2, 3):
         for v in g.vertices():
-            size = len(r_neighbourhood(g, v, r))
+            size = len(all_r_neighbourhoods(g, r)[v])
             assert size <= g.degree(v) * g.max_degree ** (r - 1)
             assert size <= stats.nbr_degree_sum[v] * g.max_degree ** (r - 2)
 

@@ -230,6 +230,23 @@ def test_rejects_bad_arguments():
         compute_params(5, 1)
 
 
+@pytest.mark.parametrize("delta,r", [(1000, 104), (2, 1024)],
+                         ids=["overflow-error", "infinite-sum"])
+def test_headline_bound_past_float_range(delta, r):
+    with pytest.raises(PaletteError, match="overflows a float"):
+        headline_bound(delta, r)
+
+
+def test_palette_cli_refuses_bound_past_float_range(capsys):
+    out = io.StringIO()
+    assert main(["palette", "--delta", "1000", "--r", "104"], out=out) == 2
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert main(["palette", "--delta", "1000", "--r", "103"], out=out) == 0
+    assert out.getvalue().startswith("palette delta=1000 r=103 ")
+
+
 def test_headline_bound_degree_100():
     # 2*100 + 5*100**(2/3)*ln(100)**2 + 16*100 + 6
     assert headline_bound(100, 2) == pytest.approx(4090.5, abs=1.0)

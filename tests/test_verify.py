@@ -58,6 +58,15 @@ def test_incomplete_colouring(p3):
         verify(p3, TotalColouring({1: 1, 2: 2, 3: 3}, {(1, 2): 5}), 1)
 
 
+@pytest.mark.parametrize("vcol,ecol,msg", [
+    ({1: 1, 2: 2, 3: 3, 9: 1}, {(1, 2): 5, (2, 3): 6}, "vertex 9 is not"),
+    ({1: 1, 2: 2, 3: 3}, {(1, 2): 5, (2, 3): 6, (1, 3): 7}, r"edge \(1, 3\) is not"),
+])
+def test_foreign_element(p3, vcol, ecol, msg):
+    with pytest.raises(IncompleteColouringError, match=msg):
+        verify(p3, TotalColouring(vcol, ecol), 1)
+
+
 def test_distance_respects_components():
     g = build_graph(4, [(1, 2), (3, 4)])
     # equal sums across components are fine at any radius
