@@ -1,7 +1,7 @@
 """Proper total colourings with distinct weighted degrees within a radius."""
 
 from .colouring import TotalColouring
-from .exact import exact_chi, is_feasible
+from .exact import exact_chi
 from .graphs import Graph, GraphError, backward_stats, build_graph, degree_stats
 from .ordering import (OrderingCertificate, check_conditions,
                        resample_until_valid)
@@ -16,5 +16,5 @@ __all__ = [
     "headline_bound", "TotalColouring", "OrderingCertificate",
     "check_conditions", "resample_until_valid",
     "run", "replay", "RunTrace", "verify", "VerificationReport",
-    "exact_chi", "is_feasible",
+    "exact_chi",
 ]

@@ -31,12 +31,14 @@ def _write(text, path, out):
 
 
 def _print_palette(args, out):
+    # the float bound refuses a huge (delta, r) before the exact arithmetic
+    bound = headline_bound(args.delta, args.r)
     params = compute_params(args.delta, args.r)
     ok, witness = check_disjoint_shifts(params)
     rows = [("max degree", args.delta), ("radius", args.r),
             ("step", params.step), ("modulus", params.modulus),
             ("palette size", params.size), ("palette max", params.palette_max),
-            ("headline bound", f"{headline_bound(args.delta, args.r):.1f}")]
+            ("headline bound", f"{bound:.1f}")]
     out.write(f"palette delta={args.delta} r={args.r} step={params.step} "
               f"modulus={params.modulus} size={params.size} "
               f"palette_max={params.palette_max} shifts_disjoint={str(ok).lower()}\n")
@@ -145,15 +147,20 @@ def parse_grid_lines(lines):
         kind = fields[0]
         if kind not in generate.KINDS:
             raise files.FormatError(f"line {lineno}: unknown kind {kind!r}")
-        arity = len(generate.KINDS[kind][1])
-        if len(fields) != arity + 3:
+        types = generate.KINDS[kind][1]
+        if len(fields) != len(types) + 3:
             raise files.FormatError(
-                f"line {lineno}: {kind} takes {arity} size parameters, r, seed")
+                f"line {lineno}: {kind} takes {len(types)} size parameters, r, seed")
         try:
+            for convert, arg in zip(types, fields[1:]):
+                convert(arg)
             radius, seed = int(fields[-2]), int(fields[-1])
         except ValueError:
-            raise files.FormatError(f"line {lineno}: non-integer r or seed") from None
-        grid.append((kind, fields[1:1 + arity], radius, seed))
+            names = ", ".join(convert.__name__ for convert in types)
+            raise files.FormatError(
+                f"line {lineno}: {kind} takes {names} size parameters, "
+                f"integer r and seed") from None
+        grid.append((kind, fields[1:-2], radius, seed))
     return grid
 
 

@@ -64,7 +64,7 @@ class SearchBudgetError(ValueError):
     """The search tried TRIAL_BUDGET colours without an answer."""
 
 
-# Colour trials allowed per exact_chi call (and per lone is_feasible call).
+# Colour trials allowed per exact_chi call.
 # A trial sets one element's colour and checks the sums it completes; a
 # million take a few seconds.
 TRIAL_BUDGET = 10 ** 6
@@ -102,16 +102,6 @@ def _search(schedule, palette_size, budget):
     vcol = {ends[0]: c for ends, c in zip(elements, colour) if len(ends) == 1}
     ecol = {ends: c for ends, c in zip(elements, colour) if len(ends) == 2}
     return TotalColouring(vcol, ecol), trials
-
-
-def is_feasible(g, radius, palette_size):
-    """Decide whether a proper, sum-distinguishing colouring with colours in
-    [1, palette_size] exists; returns (bool, TotalColouring or None).
-    Raises SearchBudgetError past TRIAL_BUDGET colour trials."""
-    if palette_size < 1:
-        raise ValueError("palette size must be >= 1")
-    witness, _ = _search(_schedule(g, radius), palette_size, TRIAL_BUDGET)
-    return witness is not None, witness
 
 
 def exact_chi(g, radius, limit):

@@ -39,6 +39,7 @@ def records(lines):
 def parse_graph_lines(lines):
     n = m = None
     edges = []
+    edge_lines = []
     for lineno, fields in records(lines):
         tag = fields[0]
         if tag == "e":
@@ -56,6 +57,7 @@ def parse_graph_lines(lines):
             raise FormatError(f"line {lineno}: non-integer field") from None
         if tag == "e":
             edges.append((a, b))
+            edge_lines.append(lineno)
         else:
             n, m = a, b
     if n is None:
@@ -65,7 +67,9 @@ def parse_graph_lines(lines):
     try:
         return build_graph(n, edges)
     except GraphError as exc:
-        raise FormatError(str(exc)) from exc
+        if exc.edge is None:
+            raise FormatError(str(exc)) from exc
+        raise FormatError(f"line {edge_lines[exc.edge]}: {exc.reason}") from exc
 
 
 def parse_graph(pathname):

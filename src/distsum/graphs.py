@@ -16,7 +16,14 @@ from operator import or_
 
 
 class GraphError(ValueError):
-    """Malformed graph input (self-loop, duplicate edge, bad endpoint)."""
+    """Malformed graph input (self-loop, duplicate edge, bad endpoint); `edge`
+    is the offending edge's index in the input list (None for a bad vertex
+    count) and `reason` the message without that index."""
+
+    def __init__(self, reason, edge=None):
+        super().__init__(reason if edge is None else f"edge {edge}: {reason}")
+        self.reason = reason
+        self.edge = edge
 
 
 def edge_key(u, v):
@@ -77,11 +84,11 @@ def build_graph(n, edges):
     canon = []
     for idx, (u, v) in enumerate(edges):
         if not (1 <= u <= n) or not (1 <= v <= n):
-            raise GraphError(f"edge {idx}: endpoint out of range in ({u}, {v})")
+            raise GraphError(f"endpoint out of range in ({u}, {v})", idx)
         if u == v:
-            raise GraphError(f"edge {idx}: self-loop at vertex {u}")
+            raise GraphError(f"self-loop at vertex {u}", idx)
         if v in adjacency[u]:
-            raise GraphError(f"edge {idx}: duplicate edge {edge_key(u, v)}")
+            raise GraphError(f"duplicate edge {edge_key(u, v)}", idx)
         canon.append(edge_key(u, v))
         adjacency[u].add(v)
         adjacency[v].add(u)

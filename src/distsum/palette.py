@@ -113,12 +113,16 @@ class PaletteParams:
         raise PaletteError(f"palette index {j} exceeds size {self.size}")
 
 
-def compute_params(max_degree, radius):
-    """Build the palette parameters for a max degree >= 2 and radius >= 2."""
+def _check_domain(max_degree, radius):
     if max_degree < 2:
         raise PaletteError(f"max_degree must be >= 2, got {max_degree}")
     if radius < 2:
         raise PaletteError(f"radius must be >= 2, got {radius}")
+
+
+def compute_params(max_degree, radius):
+    """Build the palette parameters for a max degree >= 2 and radius >= 2."""
+    _check_domain(max_degree, radius)
     step = _step_value(max_degree, radius)
     bound = max_degree ** (radius - 1) + 6 * max_degree + step
     modulus = -(-bound // step) * step
@@ -185,7 +189,9 @@ def check_disjoint_shifts(params):
 
 def headline_bound(max_degree, radius):
     """Real-valued palette bound the construction targets asymptotically:
-    2*D^(r-1) + 5*D^(r-4/3)*ln(D)^2 + 16*D + 6; PaletteError past the float range."""
+    2*D^(r-1) + 5*D^(r-4/3)*ln(D)^2 + 16*D + 6; PaletteError outside
+    D >= 2, r >= 2 or past the float range."""
+    _check_domain(max_degree, radius)
     try:
         value = (2.0 * max_degree ** (radius - 1)
                  + 5.0 * max_degree ** (radius - 4.0 / 3.0) * math.log(max_degree) ** 2

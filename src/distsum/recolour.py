@@ -11,8 +11,11 @@ a fresh base colour for the vertex whose residues avoid its processed
 neighbours and those reachable residues, and reaches a target weighted
 degree by shifting incident edges.  Shifting a backward edge is paid for by
 the opposite shift on its already-processed endpoint, which keeps that
-endpoint's fixed sum and stays inside its four-colour envelope, so nothing
-settled is ever disturbed.
+endpoint's fixed sum, so nothing settled is ever disturbed.  A processed u
+only ever holds its anchor a or a + unit, the unit being the modulus for a
+big u and the step for a small one: its two-colour envelope.  So the run
+keeps one signed shift per processed vertex, the one its next backward edge
+takes: -unit at the vertex's own step, negated at each compensation.
 
 Counting argument.  The candidate sums for v are base + (sum of its edge
 colours) + i * modulus + j * step, over the admissible bases in
@@ -68,11 +71,6 @@ class RunError(RuntimeError):
     """A recolouring step found no free target sum; the run is refused."""
 
 
-def _envelope(anchor, step, modulus):
-    """The four admitted colours for a processed vertex."""
-    return (anchor, anchor + step, anchor + modulus, anchor + modulus + step)
-
-
 class _Run:
     def __init__(self, g, radius, params, check_invariants=False):
         self.g = g
@@ -86,26 +84,11 @@ class _Run:
         self.anchor = {}
         self.target = {}
         self.owners = {}            # target sum -> bitmask of its processed holders
-        self.processed = set()
+        self.shift = {}             # processed u -> shift of its next backward edge
         self.processed_mask = 0     # the processed vertices as a bitmask
         self.trace = RunTrace(
             base_vertex_colours=dict(self.colouring.vertex_colours),
             base_edge_colours=dict(self.colouring.edge_colours))
-
-    def _backward_edge_delta(self, u):
-        """The unique nonzero shift allowed on a backward edge to u.
-
-        Determined by where u's current colour sits in its envelope: the
-        edge shift is compensated by the opposite shift on u's colour, which
-        must stay inside the envelope.
-        """
-        step, modulus = self.params.step, self.params.modulus
-        a = self.anchor[u]
-        cu = self.colouring.vertex_colours[u]
-        unit = modulus if self.stats.is_big(u) else step
-        if unit == modulus:
-            return -modulus if cu in (a, a + step) else modulus
-        return -step if cu in (a, a + modulus) else step
 
     def _incident_edges(self, v):
         """One pass over v's edges, in ascending neighbour order, fixing each
@@ -119,7 +102,7 @@ class _Run:
         is_big = self.stats.is_big
         v_big = is_big(v)
         ecol = self.colouring.edge_colours
-        processed, anchor = self.processed, self.anchor
+        shift_of, anchor = self.shift, self.anchor
         # v's colour ends up at base or base + step modulo the modulus, so a
         # base b is forbidden when b or b + step meets a processed neighbour's
         # {anchor, anchor + step} or a residue an incident edge can reach.
@@ -130,8 +113,8 @@ class _Run:
             key = edge_key(v, u)
             colour = ecol[key]
             edge_sum += colour
-            if u in processed:
-                shift = self._backward_edge_delta(u)
+            if u in shift_of:
+                shift = shift_of[u]
                 a = anchor[u]
                 forbidden.update(((a - step) % modulus, a % modulus,
                                   (a + step) % modulus))
@@ -207,15 +190,16 @@ class _Run:
                 self.colouring.edge_colours[key] += delta
                 self.alterations[key] += 1
                 edge_deltas.append((key, delta))
-                if u in self.processed:
+                if u in self.shift:
                     self.colouring.vertex_colours[u] -= delta
+                    self.shift[u] = -delta
                     compensations.append((u, -delta))
 
         self.colouring.vertex_colours[v] = base_colour
         self.anchor[v] = base_colour
         self.target[v] = target
         self.owners[target] = holders(target, 0) | 1 << v
-        self.processed.add(v)
+        self.shift[v] = -modulus if self.stats.is_big(v) else -step
         self.processed_mask |= 1 << v
 
         rec = StepRecord(v, base_colour, target, edge_deltas, compensations,
@@ -235,12 +219,13 @@ class _Run:
         step, modulus = self.params.step, self.params.modulus
         vcol, ecol = self.colouring.vertex_colours, self.colouring.edge_colours
         base_edge = self.trace.base_edge_colours
-        processed = self.processed
+        processed = self.shift
         for u in vertices:
             if u in processed:
                 if self.colouring.weighted_degree(self.g, u) != self.target[u]:
                     bad(f"after {label}: sum of {u} drifted from its target")
-                if vcol[u] not in _envelope(self.anchor[u], step, modulus):
+                unit = modulus if self.stats.is_big(u) else step
+                if vcol[u] not in (self.anchor[u], self.anchor[u] + unit):
                     bad(f"after {label}: colour of {u} left its envelope")
                 if self.anchor[u] > modulus:
                     bad(f"after {label}: anchor of {u} above the modulus")

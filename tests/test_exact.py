@@ -5,11 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from distsum import build_graph, exact, exact_chi, is_feasible, verify
+from distsum import build_graph, exact, exact_chi, verify
 from distsum.colouring import TotalColouring
 from distsum.generate import complete, cycle, path, star
 
 from conftest import random_graph
+
+
+def search(g, radius, p):
+    """The exact search's witness at one palette size, or None."""
+    witness, _ = exact._search(exact._schedule(g, radius), p, exact.TRIAL_BUDGET)
+    return witness
 
 
 def brute_force_feasible(g, radius, p):
@@ -41,16 +47,15 @@ def test_p3_values(p3):
 
 
 def test_is_feasible_k2(k2):
-    ok, _ = is_feasible(k2, 1, 2)
-    assert not ok
-    ok, witness = is_feasible(k2, 1, 3)
-    assert ok and verify(k2, witness, 1).passed
+    assert search(k2, 1, 2) is None
+    witness = search(k2, 1, 3)
+    assert witness is not None and verify(k2, witness, 1).passed
 
 
 def test_edgeless_single_colour():
     g = build_graph(3, [])
-    ok, witness = is_feasible(g, 1, 1)
-    assert ok
+    value, witness = exact_chi(g, 1, 1)
+    assert value == 1
     assert witness.vertex_colours == {1: 1, 2: 1, 3: 1}
 
 
@@ -59,7 +64,7 @@ def test_radius_below_one_refused(p3, radius):
     with pytest.raises(ValueError, match="radius must be >= 1"):
         exact_chi(p3, radius, 10)
     with pytest.raises(ValueError, match="radius must be >= 1"):
-        is_feasible(p3, radius, 4)
+        search(p3, radius, 4)
 
 
 def test_limit_sentinel(p3):
@@ -113,7 +118,7 @@ def test_trial_budget_shared_across_sizes(monkeypatch, p3):
         exact_chi(p3, 2, 10)
     monkeypatch.setattr(exact, "TRIAL_BUDGET", at_3 - 1)
     with pytest.raises(ValueError, match="palette size 3"):
-        is_feasible(p3, 2, 3)
+        exact_chi(p3, 2, 10)
 
 
 # Golden digests of exact_chi: the search must keep its element order,

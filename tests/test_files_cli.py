@@ -42,6 +42,11 @@ def test_parse_graph_p3_with_comment():
     (["# only a comment", ""], "missing 'p <n> <m>' header"),
     (["p 2 2", "e 1 2", "e 2 1"], "duplicate edge"),
     (["p 2 1", "e 1 3"], "out of range"),
+    # graph refusals name the file line, not the edge's index
+    (["p 2 2", "e 1 2", "# c", "e 2 1"], r"^line 4: duplicate edge \(1, 2\)$"),
+    (["p 3 1", "", "e 2 2"], "^line 3: self-loop at vertex 2$"),
+    (["p 2 1", "# c", "e 0 1"], r"^line 3: endpoint out of range in \(0, 1\)$"),
+    (["p -1 0"], "^vertex count must be non-negative, got -1$"),
 ])
 def test_parse_graph_errors(lines, msg):
     with pytest.raises(FormatError, match=msg):
@@ -194,6 +199,15 @@ def test_exact_subcommand_long_path(tmp_path):
     assert text.splitlines()[0] == "exact result=4"
 
 
+def test_exact_subcommand_past_limit(tmp_path):
+    # P3 at r = 1 needs 3 colours
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("p 3 2\ne 1 2\ne 2 3\n")
+    code, text = run_cli(["exact", "--input", str(gpath), "--r", "1",
+                          "--limit", "2"])
+    assert (code, text) == (0, "exact result=exceeds-limit limit=2\n")
+
+
 def test_exact_subcommand_budget_refusal(tmp_path, capsys):
     # K7 at r = 1 has no answer below the trial budget: a refusal, not an
     # hours-long search.
@@ -216,6 +230,19 @@ def test_emit_trace(tmp_path):
     trace = tpath.read_text().splitlines()
     assert trace[0].startswith("trace vertex_steps=5")
     assert sum(1 for line in trace if line.startswith("step ")) == 5
+    assert not any(line.startswith("note ") for line in trace)
+
+
+def test_emit_trace_notes_radius_one(tmp_path):
+    gpath, tpath = tmp_path / "g.txt", tmp_path / "trace.txt"
+    run_cli(["gen", "path", "5", "--output", str(gpath)])
+    code, _ = run_cli(["color", "--input", str(gpath), "--r", "1", "--seed", "2",
+                       "--output", str(tmp_path / "c.txt"),
+                       "--emit-trace", str(tpath)])
+    assert code == 0
+    notes = [line for line in tpath.read_text().splitlines()
+             if line.startswith("note ")]
+    assert notes == ["note radius 1 run with radius-2 palette arithmetic"]
 
 
 def test_refused_run_exit_code_and_row(tmp_path, monkeypatch, capsys):
@@ -282,9 +309,12 @@ def test_parse_grid():
     (["path 4 2 1", "blob 3 2 1"], "line 2: unknown kind 'blob'"),
     (["gnp 30 2 1"], "line 1: gnp takes 2 size parameters, r, seed"),
     (["path 4 5 2 1"], "line 1: path takes 1 size parameters, r, seed"),
-    (["# grid", "path 4 x 1"], "line 2: non-integer r or seed"),
-    (["path 4 2 1.5"], "line 1: non-integer r or seed"),
-], ids=["unknown-kind", "too-few", "too-many", "non-integer-r", "non-integer-seed"])
+    (["# grid", "path 4 x 1"], "line 2: path takes int size parameters, integer r and seed"),
+    (["path 4 2 1.5"], "line 1: path takes int size parameters, integer r and seed"),
+    (["gnp 30 x 2 1"], "line 1: gnp takes int, float size parameters, integer r and seed"),
+    (["gnp 30 0.1x 2 1"], "line 1: gnp takes int, float size parameters"),
+], ids=["unknown-kind", "too-few", "too-many", "non-integer-r", "non-integer-seed",
+        "non-integer-size", "non-float-size"])
 def test_parse_grid_errors(lines, msg):
     with pytest.raises(FormatError, match=msg):
         parse_grid_lines(lines)
@@ -294,7 +324,8 @@ def test_experiment_cli_grid_error_names_line(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("path 8 2 1\npath 4 x 1\n")
     assert run_cli(["experiment", "--grid", str(grid)]) == (2, "")
-    assert capsys.readouterr().err == "error: line 2: non-integer r or seed\n"
+    assert capsys.readouterr().err == (
+        "error: line 2: path takes int size parameters, integer r and seed\n")
 
 
 def test_experiment_rows_and_determinism(tmp_path):
@@ -335,6 +366,17 @@ def test_gen_refuses_wrong_parameter_count(argv, capsys):
     assert run_cli(argv) == (2, "")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {argv[1]} takes ")
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["gen", "star", "0"], "star needs at least one leaf"),
+    (["gen", "gnp", "5", "1.5"], r"p must lie in \[0, 1\]"),
+    (["gen", "regular-ish", "4", "4"], "need 1 <= d < n"),
+], ids=["star-no-leaf", "gnp-p-above-one", "regular-ish-d-equals-n"])
+def test_gen_refuses_bad_parameter_value(argv, msg, capsys):
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(f"error: {msg}", err[0])
 
 
 def test_gen_determinism():

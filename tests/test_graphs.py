@@ -34,6 +34,12 @@ def test_build_rejects(edges, msg):
         build_graph(3, edges)
 
 
+def test_build_error_carries_edge_index():
+    with pytest.raises(GraphError, match=r"^edge 1: duplicate edge \(1, 2\)$") as info:
+        build_graph(3, [(1, 2), (2, 1)])
+    assert (info.value.edge, info.value.reason) == (1, "duplicate edge (1, 2)")
+
+
 def test_r_neighbourhood_p3(p3):
     assert set(all_r_neighbourhoods(p3, 1)[1]) == {2}
     assert set(all_r_neighbourhoods(p3, 2)[1]) == {2, 3}

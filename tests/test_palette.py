@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from distsum import palette
+from distsum import cli, palette
 from distsum.cli import _print_palette, main
 from distsum.palette import (PaletteError, PaletteParams, check_disjoint_shifts,
                              compute_params, headline_bound, shifted_set)
@@ -224,10 +224,15 @@ def test_import_leaves_out_mpmath():
 
 
 def test_rejects_bad_arguments():
-    with pytest.raises(PaletteError):
-        compute_params(1, 2)
-    with pytest.raises(PaletteError):
-        compute_params(5, 1)
+    # headline_bound shares the domain check: outside it, its float powers
+    # divide by zero (0 ** -1/3) or go complex
+    for refuse in (compute_params, headline_bound):
+        with pytest.raises(PaletteError, match="max_degree must be >= 2, got 1"):
+            refuse(1, 2)
+        with pytest.raises(PaletteError, match="radius must be >= 2, got 1"):
+            refuse(5, 1)
+        with pytest.raises(PaletteError, match="max_degree must be >= 2, got 0"):
+            refuse(0, 1)
 
 
 @pytest.mark.parametrize("delta,r", [(1000, 104), (2, 1024)],
@@ -245,6 +250,17 @@ def test_palette_cli_refuses_bound_past_float_range(capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert main(["palette", "--delta", "1000", "--r", "103"], out=out) == 0
     assert out.getvalue().startswith("palette delta=1000 r=103 ")
+
+
+def test_palette_cli_refuses_bound_before_exact_arithmetic(monkeypatch, capsys):
+    def exact_arithmetic(*args):
+        raise AssertionError("compute_params called")
+    monkeypatch.setattr(cli, "compute_params", exact_arithmetic)
+    assert main(["palette", "--delta", "1000", "--r", "1000"], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: headline bound overflows a float at r=1000\n"
+    # the bound's own domain check keeps compute_params' message
+    assert main(["palette", "--delta", "0", "--r", "1"], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: max_degree must be >= 2, got 0\n"
 
 
 def test_headline_bound_degree_100():

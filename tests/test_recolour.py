@@ -154,7 +154,7 @@ def _half_run(seed):
 def test_invariant_checker_reports_corrupted_edge():
     runner = _half_run(4)
     key = next((a, b) for a, b in runner.g.edges
-               if a in runner.processed and b in runner.processed)
+               if a in runner.shift and b in runner.shift)
     runner.colouring.edge_colours[key] += 1
     runner._check_state("fault", runner.g.vertices())
     found = runner.trace.invariant_violations
@@ -164,11 +164,57 @@ def test_invariant_checker_reports_corrupted_edge():
 
 def test_invariant_checker_reports_anchor_above_modulus():
     runner = _half_run(5)
-    v = min(runner.processed)
+    v = min(runner.shift)
     runner.anchor[v] = runner.params.modulus + 1
     runner._check_state("fault", runner.g.vertices())
     assert (f"after fault: anchor of {v} above the modulus"
             in runner.trace.invariant_violations)
+
+
+def test_invariant_checker_reports_colour_out_of_range():
+    runner = _half_run(4)
+    key = runner.g.edges[0]
+    # a whole number of moduli keeps the residue class
+    colour = runner.colouring.edge_colours[key] + 4 * runner.params.modulus
+    runner.colouring.edge_colours[key] = colour
+    runner._check_state("fault", runner.g.vertices())
+    assert (f"after fault: edge {key} colour {colour} out of range"
+            in runner.trace.invariant_violations)
+
+
+def test_invariant_checker_reports_third_alteration():
+    runner = _half_run(4)
+    key = runner.g.edges[0]
+    runner.alterations[key] = 3
+    runner._check_state("fault", runner.g.vertices())
+    assert runner.trace.invariant_violations == [
+        f"after fault: edge {key} altered more than twice"]
+
+
+def test_invariant_checker_reports_adjacent_residue_clash():
+    runner = _half_run(5)
+    u, w = next((a, b) for a, b in runner.g.edges
+                if a in runner.shift and b in runner.shift)
+    runner.colouring.vertex_colours[w] = runner.colouring.vertex_colours[u]
+    runner._check_state("fault", runner.g.vertices())
+    assert (f"after fault: adjacent vertices {u},{w} share a residue"
+            in runner.trace.invariant_violations)
+
+
+def test_invariant_checker_envelope_has_two_colours():
+    # anchor + modulus and anchor + step both lie in the four colours
+    # {a, a + step, a + modulus, a + modulus + step}, but a small vertex
+    # only ever moves by the step and a big one by the modulus
+    runner = _half_run(4)
+    vcol, params = runner.colouring.vertex_colours, runner.params
+    small = min(u for u in runner.shift if not runner.stats.is_big(u))
+    big = min(u for u in runner.shift if runner.stats.is_big(u))
+    vcol[small] = runner.anchor[small] + params.modulus
+    vcol[big] = runner.anchor[big] + params.step
+    runner._check_state("fault", [small, big])
+    found = runner.trace.invariant_violations
+    assert f"after fault: colour of {small} left its envelope" in found
+    assert f"after fault: colour of {big} left its envelope" in found
 
 
 def _inject(monkeypatch, fault):
@@ -192,9 +238,9 @@ def test_step_check_misses_far_fault_and_end_scan_reports_it(monkeypatch):
             return
         for a, b in g.edges:
             around = g.adjacency[a] | g.adjacency[b]
-            if runner.processed.issuperset(around):
+            if runner.shift.keys() >= around:
                 runner.colouring.edge_colours[(a, b)] += 1
-                corrupted.append(((a, b), around, set(g.vertices()) - runner.processed))
+                corrupted.append(((a, b), around, set(g.vertices()) - runner.shift.keys()))
                 return
     _inject(monkeypatch, fault)
     _, trace, _ = run(g, 2, 6, check_invariants=True)
@@ -213,7 +259,7 @@ def test_step_check_reports_fault_next_to_the_step(monkeypatch):
     corrupted = []
 
     def fault(runner, v):
-        done = sorted(runner.g.adjacency[v] & runner.processed)
+        done = sorted(runner.g.adjacency[v] & runner.shift.keys())
         if not corrupted and done:
             runner.colouring.vertex_colours[done[0]] += 1
             corrupted.append((v, done[0]))
