@@ -1,12 +1,12 @@
 """Initial total colouring: edge colours (a common free colour, else
-Misra-Gries fan recolouring) mapped into the edge palette, then greedy vertex
-colours that are proper modulo the palette modulus.
+Misra-Gries fan recolouring) mapped into the edge palette, distinct modulo
+the palette modulus at each vertex.  It colours no vertex: each vertex takes
+its colour at its own recolouring step.
 """
 
 from __future__ import annotations
 
 from .colouring import TotalColouring
-from .graphs import edge_key
 
 
 def edge_colour_indices(g):
@@ -111,30 +111,8 @@ def map_indices_to_palette(indices, params):
     return {key: params.element(j) for key, j in indices.items()}
 
 
-def greedy_vertex_colours(g, edge_colours, params):
-    """Smallest vertex colour in [1, modulus] keeping the total colouring
-    proper modulo the modulus; vertices processed in ascending id."""
-    modulus = params.modulus
-    out = {}
-    for v in g.vertices():
-        banned = set()
-        for u in g.adjacency[v]:
-            if u in out:
-                banned.add(out[u] % modulus)
-            banned.add(edge_colours[edge_key(v, u)] % modulus)
-        for c in range(1, modulus + 1):
-            if c % modulus not in banned:
-                out[v] = c
-                break
-        else:
-            raise AssertionError(
-                f"no free residue for vertex {v}: modulus too small")
-    return out
-
-
 def base_total_colouring(g, params):
-    """Edge palette colours plus greedy vertices; proper modulo the modulus."""
-    indices = edge_colour_indices(g)
-    edges = map_indices_to_palette(indices, params)
-    vertices = greedy_vertex_colours(g, edges, params)
-    return TotalColouring(vertices, edges, params)
+    """Edge palette colours, distinct modulo the modulus at each vertex, and
+    no vertex colour yet."""
+    edges = map_indices_to_palette(edge_colour_indices(g), params)
+    return TotalColouring({}, edges, params)

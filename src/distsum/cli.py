@@ -64,6 +64,8 @@ def _cmd_order(args, out):
         raise ValueError("radius must be >= 1")
     g = files.parse_graph(args.input)
     radius = max(args.r, 2)
+    # refuse a radius whose ordering bounds overflow a float
+    headline_bound(max(g.max_degree, 2), radius)
     cert = resample_until_valid(g, radius, args.seed)
     out.write(f"cert seed={cert.seed} r={radius} rounds={cert.resample_rounds} "
               f"valid={str(cert.valid).lower()} threshold={cert.split_threshold:.12g}\n")

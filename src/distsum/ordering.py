@@ -125,24 +125,23 @@ def _failing(checks):
             if not all(ok is None or ok for ok in res.values())]
 
 
-def resample_until_valid(g, radius, seed, max_rounds=DEFAULT_MAX_ROUNDS):
+def resample_until_valid(g, radius, seed):
     """Sample weights and locally resample until all conditions hold.
 
     Each round redraws the weights of every vertex within distance
     2 * radius of a failing vertex, then re-evaluates every condition.  A
     condition reads only weights within distance radius of its vertex, so
     only those near a redraw can change; condition_counts recounts the whole
-    graph either way.  A single seeded generator drives all draws, so the
-    certificate is a pure function of (graph, radius, seed, max_rounds).
+    graph either way.  At most DEFAULT_MAX_ROUNDS rounds are run.  A single
+    seeded generator drives all draws, so the certificate is a pure function
+    of (graph, radius, seed).
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     rng = random.Random(seed)
     weights = {v: rng.random() for v in g.vertices()}
     checks = check_conditions(g, weights, radius)
     rounds = 0
     failing = _failing(checks)
-    while failing and rounds < max_rounds:
+    while failing and rounds < DEFAULT_MAX_ROUNDS:
         for v in sorted(ball(g, failing, 2 * radius)):
             weights[v] = rng.random()
         rounds += 1
@@ -157,5 +156,5 @@ def resample_until_valid(g, radius, seed, max_rounds=DEFAULT_MAX_ROUNDS):
                           f"below max degree {MIN_DEGREE}")
     if failing:
         cert.notes.append(
-            f"round budget {max_rounds} exhausted with {len(failing)} failing vertices")
+            f"round budget {DEFAULT_MAX_ROUNDS} exhausted with {len(failing)} failing vertices")
     return cert

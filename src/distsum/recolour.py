@@ -15,7 +15,9 @@ endpoint's fixed sum, so nothing settled is ever disturbed.  A processed u
 only ever holds its anchor a or a + unit, the unit being the modulus for a
 big u and the step for a small one: its two-colour envelope.  So the run
 keeps one signed shift per processed vertex, the one its next backward edge
-takes: -unit at the vertex's own step, negated at each compensation.
+takes: -unit at the vertex's own step, negated at each compensation.  The
+base colouring colours the edges only: each vertex takes its colour at its
+own step, which reads the colours of processed vertices only.
 
 Counting argument.  The candidate sums for v are base + (sum of its edge
 colours) + i * modulus + j * step, over the admissible bases in
@@ -42,7 +44,7 @@ from .base_colouring import base_total_colouring
 from .colouring import TotalColouring
 from .graphs import all_r_neighbourhoods, degree_stats, edge_key
 from .ordering import resample_until_valid
-from .palette import compute_params, shifted_set
+from .palette import compute_params, headline_bound, shifted_set
 
 
 @dataclass
@@ -62,7 +64,6 @@ class RunTrace:
     steps: list = field(default_factory=list)
     fallback_count: int = 0         # always 0; kept for the `fallbacks` fields
     invariant_violations: list = field(default_factory=list)
-    base_vertex_colours: dict = field(default_factory=dict)
     base_edge_colours: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
@@ -86,9 +87,7 @@ class _Run:
         self.owners = {}            # target sum -> bitmask of its processed holders
         self.shift = {}             # processed u -> shift of its next backward edge
         self.processed_mask = 0     # the processed vertices as a bitmask
-        self.trace = RunTrace(
-            base_vertex_colours=dict(self.colouring.vertex_colours),
-            base_edge_colours=dict(self.colouring.edge_colours))
+        self.trace = RunTrace(base_edge_colours=dict(self.colouring.edge_colours))
 
     def _incident_edges(self, v):
         """One pass over v's edges, in ascending neighbour order, fixing each
@@ -255,20 +254,24 @@ class _Run:
 
 
 def run(g, radius, seed, check_invariants=False):
-    """Full pipeline: parameters, base colouring, ordering, recolouring.
+    """Full pipeline: parameters, base edge colouring, ordering, recolouring.
 
     Returns (TotalColouring, RunTrace, OrderingCertificate); raises RunError
-    when a step finds no free target sum.  With check_invariants, each step
-    is checked at its vertex and neighbours, and every vertex once after the
-    last step; broken invariants go to trace.invariant_violations.  Radius 1
-    is accepted; the palette arithmetic then uses radius 2 (noted in the
-    trace).  Identical (graph, radius, seed) inputs give identical outputs.
+    when a step finds no free target sum, and PaletteError when the headline
+    bound at (max(max degree, 2), max(radius, 2)) overflows a float.  With
+    check_invariants, each step is checked at its vertex and neighbours, and
+    every vertex once after the last step; broken invariants go to
+    trace.invariant_violations.  Radius 1 is accepted; the palette arithmetic
+    then uses radius 2 (noted in the trace).  Identical (graph, radius, seed)
+    inputs give identical outputs.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
 
     eff_degree = max(g.max_degree, 2)
     eff_radius = max(radius, 2)
+    # the float bound refuses a huge (delta, r) before the exact arithmetic
+    headline_bound(eff_degree, eff_radius)
     params = compute_params(eff_degree, eff_radius)
     cert = resample_until_valid(g, eff_radius, seed)
 
@@ -290,8 +293,9 @@ def run(g, radius, seed, check_invariants=False):
 
 
 def replay(g, trace):
-    """Rebuild the final colouring from the base colouring and step deltas."""
-    vcol = dict(trace.base_vertex_colours)
+    """Rebuild the final colouring from the base edge colours and the steps,
+    each of which sets its own vertex's colour."""
+    vcol = {}
     ecol = dict(trace.base_edge_colours)
     for rec in trace.steps:
         for key, delta in rec.edge_deltas:

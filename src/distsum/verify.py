@@ -54,6 +54,8 @@ def _truncated_bfs(adjacency, v, radius):
                     seen.add(u)
                     out.append(u)
                     nxt.append(u)
+        if not nxt:
+            break
         frontier = nxt
     return out
 

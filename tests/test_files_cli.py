@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -151,6 +152,29 @@ def test_order_refuses_radius_below_one(tmp_path, capsys, radius):
     assert run_cli(["order", "--input", str(gpath), "--r", radius,
                     "--seed", "4"]) == (2, "")
     assert capsys.readouterr().err == "error: radius must be >= 1\n"
+
+
+@pytest.mark.parametrize("command,spec,radius", [
+    ("color", ["regular-ish", "130", "36", "--seed", "1"], "200"),
+    ("order", ["regular-ish", "130", "36", "--seed", "1"], "200"),
+    ("color", ["path", "3"], "2000"),
+    ("color", ["complete", "2"], "1000000"),
+], ids=["color-dense", "order-dense", "color-p3", "color-k2"])
+def test_radius_past_float_range_refused(tmp_path, capsys, command, spec, radius):
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", *spec, "--output", str(gpath)])
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run_cli([command, "--input", str(gpath), "--r", radius,
+                    "--seed", "1"]) == (2, "")
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: headline bound overflows a float at r={radius}\n")
+
+
+def test_experiment_radius_past_float_range_becomes_row():
+    rows = run_experiment([("regular-ish", ["130", "36"], 200, 1)])
+    assert rows[1][-1] == "error:PaletteError"
 
 
 def test_order_lifts_radius_one_to_two(tmp_path):

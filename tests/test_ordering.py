@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from distsum import build_graph, check_conditions, resample_until_valid
+from distsum import build_graph, check_conditions, ordering, resample_until_valid
 from distsum.generate import star
 from distsum.graphs import degree_stats
 from distsum.ordering import (checkable_vertices, condition_counts,
@@ -99,11 +99,12 @@ def test_certificate_partition():
     assert sorted(cert.ordering) == list(g.vertices())
 
 
-def test_budget_exhaustion_flagged():
+def test_budget_exhaustion_flagged(monkeypatch):
     # P4 at seed 11 needs 5 rounds, one more than the budget
     g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
     assert resample_until_valid(g, 2, 11).resample_rounds == 5
-    cert = resample_until_valid(g, 2, 11, max_rounds=4)
+    monkeypatch.setattr(ordering, "DEFAULT_MAX_ROUNDS", 4)
+    cert = resample_until_valid(g, 2, 11)
     assert not cert.valid
     assert cert.resample_rounds == 4
     assert cert.notes

@@ -151,6 +151,11 @@ def _half_run(seed):
     return runner
 
 
+def test_only_processed_vertices_have_a_colour():
+    runner = _half_run(4)
+    assert runner.colouring.vertex_colours.keys() == runner.shift.keys()
+
+
 def test_invariant_checker_reports_corrupted_edge():
     runner = _half_run(4)
     key = next((a, b) for a, b in runner.g.edges

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -49,6 +50,16 @@ def test_bound_check(k2):
     report = verify(k2, col, 1, bound=8)
     assert report.violations == [("bound-exceeded", (9, 8))]
     assert report.max_colour == 9
+
+
+def test_equal_sums_bfs_stops_at_an_empty_frontier(k2):
+    # the BFS from vertex 1 runs out of vertices after one layer
+    col = TotalColouring({1: 1, 2: 1}, {(1, 2): 3})
+    start = time.perf_counter()
+    report = verify(k2, col, 10 ** 9)
+    assert time.perf_counter() - start < 1.0
+    assert report.violations == [("adjacent-vertices", (1, 2)),
+                                 ("equal-sums", (1, 2))]
 
 
 def test_incomplete_colouring(p3):
