@@ -97,22 +97,16 @@ def edge_colour_indices(g):
         cols = [c if x == d else x for x in cols]
         # The flip swaps only c and d, which no fan edge before the d-edge at u
         # carries, so the first fan vertex with d free still ends a fan.
-        upto = next((i for i, w in enumerate(fan) if not used[w] >> d & 1),
-                    None)
-        if upto is None:
-            raise AssertionError("fan recolouring found no rotation target")
+        upto = next(i for i, w in enumerate(fan) if not used[w] >> d & 1)
         rotate(u, fan, cols, upto, d)
     colour_of = [{w: c for c, w in across.items()} for across in at]
     return {(u, v): colour_of[u][v] for u, v in g.edges}
 
 
-def map_indices_to_palette(indices, params):
-    """Replace index j on each edge by the j-th smallest edge-palette element."""
-    return {key: params.element(j) for key, j in indices.items()}
-
-
 def base_total_colouring(g, params):
     """Edge palette colours, distinct modulo the modulus at each vertex, and
-    no vertex colour yet."""
-    edges = map_indices_to_palette(edge_colour_indices(g), params)
+    no vertex colour yet: the edge of colour index j takes the j-th smallest
+    edge-palette element."""
+    palette = (None, *params.elements())
+    edges = {key: palette[j] for key, j in edge_colour_indices(g).items()}
     return TotalColouring({}, edges, params)

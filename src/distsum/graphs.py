@@ -68,9 +68,6 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    def __repr__(self):
-        return f"Graph(n={self.n}, m={self.m}, max_degree={self.max_degree})"
-
 
 def build_graph(n, edges):
     """Validate an edge list and build a Graph.
@@ -170,10 +167,9 @@ class DegreeStats:
 
     A vertex is "big" when its degree strictly exceeds max_degree**(2/3),
     evaluated in double precision; otherwise it is "small".  An edgeless
-    graph has threshold 0 and no big vertex.
+    graph has no big vertex.
     """
 
-    threshold: float
     big_set: frozenset
     big_nbr_count: tuple     # per vertex: neighbours in the big class
     nbr_degree_sum: tuple    # per vertex: sum of neighbour degrees
@@ -199,7 +195,7 @@ def degree_stats(g):
             if u in big:
                 big_cnt[v] += 1
             deg_sum[v] += g.degree(u)
-    stats = DegreeStats(threshold, big, tuple(big_cnt), tuple(deg_sum))
+    stats = DegreeStats(big, tuple(big_cnt), tuple(deg_sum))
     g._tables["degree_stats"] = stats
     return stats
 

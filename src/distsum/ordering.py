@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import all_r_neighbourhoods, backward_stats, ball, degree_stats
 
@@ -41,7 +41,6 @@ class OrderingCertificate:
     resample_rounds: int
     seed: int
     valid: bool = True
-    notes: list = field(default_factory=list)
 
 
 def split_threshold(max_degree):
@@ -120,7 +119,8 @@ def check_conditions(g, weights, radius):
     return results
 
 
-def _failing(checks):
+def failing_vertices(checks):
+    """The checked vertices with a condition that does not hold."""
     return [v for v, res in checks.items()
             if not all(ok is None or ok for ok in res.values())]
 
@@ -140,21 +140,14 @@ def resample_until_valid(g, radius, seed):
     weights = {v: rng.random() for v in g.vertices()}
     checks = check_conditions(g, weights, radius)
     rounds = 0
-    failing = _failing(checks)
+    failing = failing_vertices(checks)
     while failing and rounds < DEFAULT_MAX_ROUNDS:
         for v in sorted(ball(g, failing, 2 * radius)):
             weights[v] = rng.random()
         rounds += 1
         checks = check_conditions(g, weights, radius)
-        failing = _failing(checks)
+        failing = failing_vertices(checks)
 
-    cert = OrderingCertificate(
+    return OrderingCertificate(
         weights, derive_ordering(g, weights), split_threshold(g.max_degree),
         checks, rounds, seed, valid=not failing)
-    if g.max_degree < MIN_DEGREE:
-        cert.notes.append(f"max degree {g.max_degree}: no ordering condition "
-                          f"below max degree {MIN_DEGREE}")
-    if failing:
-        cert.notes.append(
-            f"round budget {DEFAULT_MAX_ROUNDS} exhausted with {len(failing)} failing vertices")
-    return cert

@@ -80,8 +80,9 @@ class PaletteParams:
     """Palette parameters for one (max_degree, radius) pair.
 
     ``intervals`` stores the edge palette as inclusive (lo, hi) ranges so the
-    object stays small even for astronomical degrees; ``elements`` and
-    ``element`` materialize it on demand.
+    object stays small even for astronomical degrees; ``elements`` yields it
+    in ascending order on demand, and edge colour index j takes its j-th
+    element.
     """
 
     max_degree: int
@@ -100,18 +101,6 @@ class PaletteParams:
         for lo, hi in self.intervals:
             yield from range(lo, hi + 1)
 
-    def element(self, j):
-        """The j-th smallest edge-palette element, 1-indexed."""
-        if j < 1:
-            raise PaletteError(f"palette index must be >= 1, got {j}")
-        left = j - 1
-        for lo, hi in self.intervals:
-            width = hi - lo + 1
-            if left < width:
-                return lo + left
-            left -= width
-        raise PaletteError(f"palette index {j} exceeds size {self.size}")
-
 
 def _check_domain(max_degree, radius):
     if max_degree < 2:
@@ -128,7 +117,10 @@ def compute_params(max_degree, radius):
     modulus = -(-bound // step) * step
     # Interval layout: blocks of `step` consecutive integers starting right
     # above the modulus, with gaps of 3*step between blocks; the final block
-    # is truncated so the total count is exactly max_degree + 1.
+    # is truncated so the total count is exactly max_degree + 1.  The last
+    # block ends at modulus + count + 3*(nblocks - 1)*step, and
+    # (nblocks - 1)*step <= max_degree, so the palette stays in
+    # [modulus + 1, modulus + 4*max_degree + 1].
     count = max_degree + 1
     nblocks = -(-count // step)
     intervals = []
@@ -138,13 +130,8 @@ def compute_params(max_degree, radius):
     lo = modulus + (nblocks - 1) * 4 * step + 1
     intervals.append((lo, lo + count - (nblocks - 1) * step - 1))
     palette_max = 2 * modulus + step + 4 * max_degree + 1
-    params = PaletteParams(max_degree, radius, step, modulus,
-                           tuple(intervals), palette_max)
-    if params.size != count:
-        raise PaletteError("internal error: edge palette has wrong size")
-    if intervals[-1][1] > modulus + 4 * max_degree + 1:
-        raise PaletteError("internal error: edge palette leaves its window")
-    return params
+    return PaletteParams(max_degree, radius, step, modulus,
+                         tuple(intervals), palette_max)
 
 
 def shifted_set(value, step):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from .base_colouring import base_total_colouring
 from .colouring import TotalColouring
 from .graphs import all_r_neighbourhoods, degree_stats, edge_key
-from .ordering import resample_until_valid
+from .ordering import failing_vertices, resample_until_valid
 from .palette import compute_params, headline_bound, shifted_set
 
 
@@ -262,8 +262,11 @@ def run(g, radius, seed, check_invariants=False):
     check_invariants, each step is checked at its vertex and neighbours, and
     every vertex once after the last step; broken invariants go to
     trace.invariant_violations.  Radius 1 is accepted; the palette arithmetic
-    then uses radius 2 (noted in the trace).  Identical (graph, radius, seed)
-    inputs give identical outputs.
+    then uses radius 2 (noted in trace.notes, as is a max degree below 2).  A
+    certificate still invalid when the round budget runs out is noted as
+    "ordering certificate not fully valid: K failing vertices after R
+    rounds", and the run goes on with its ordering.  Identical (graph,
+    radius, seed) inputs give identical outputs.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -283,7 +286,10 @@ def run(g, radius, seed, check_invariants=False):
         runner.trace.notes.append(
             f"max degree {g.max_degree} run with degree-{eff_degree} palette arithmetic")
     if not cert.valid:
-        runner.trace.notes.append("ordering certificate not fully valid")
+        runner.trace.notes.append(
+            "ordering certificate not fully valid: "
+            f"{len(failing_vertices(cert.checks))} failing vertices after "
+            f"{cert.resample_rounds} rounds")
 
     for v in cert.ordering:
         runner.process_vertex(v)

@@ -5,8 +5,7 @@ from pathlib import Path
 import pytest
 
 from distsum import build_graph, compute_params
-from distsum.base_colouring import (base_total_colouring, edge_colour_indices,
-                                    map_indices_to_palette)
+from distsum.base_colouring import base_total_colouring, edge_colour_indices
 from distsum.graphs import edge_key
 
 from conftest import golden_graphs, random_graph
@@ -59,14 +58,14 @@ def test_random_graphs_proper_within_bound(seed, n, p):
         assert max(indices.values()) <= g.max_degree + 1
 
 
-def test_map_to_palette_degree_100():
-    params = compute_params(100, 2)
-    assert map_indices_to_palette({(1, 2): 1}, params) == {(1, 2): 1372}
+def test_map_to_palette_degree_100(k2):
+    colouring = base_total_colouring(k2, compute_params(100, 2))
+    assert colouring.edge_colours == {(1, 2): 1372}
 
 
 def test_map_to_palette_distinct_mod(c5):
     params = compute_params(2, 2)
-    colours = map_indices_to_palette(edge_colour_indices(c5), params)
+    colours = base_total_colouring(c5, params).edge_colours
     assert_proper_edges(c5, colours)
     for v in c5.vertices():
         residues = [colours[edge_key(v, u)] % params.modulus

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from distsum import files
+from distsum import cli, files, generate
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
 
@@ -116,6 +116,18 @@ def test_verify_exit_codes(tmp_path):
                     "--r", "2"])[0] == 1
 
 
+@pytest.mark.parametrize("radius", ["0", "-3"])
+def test_verify_refuses_radius_below_one(tmp_path, capsys, radius):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    run_cli(["gen", "path", "6", "--output", str(gpath)])
+    run_cli(["color", "--input", str(gpath), "--r", "2", "--seed", "1",
+             "--output", str(cpath)])
+    capsys.readouterr()
+    assert run_cli(["verify", "--input", str(gpath), "--colouring", str(cpath),
+                    "--r", radius]) == (2, "")
+    assert capsys.readouterr().err == "error: radius must be >= 1\n"
+
+
 def test_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("p 2 1\ne 1 1\n")
@@ -131,6 +143,15 @@ def test_palette_subcommand():
     assert text.splitlines()[0] == (
         "palette delta=100 r=2 step=457 modulus=1371 size=101 "
         "palette_max=3600 shifts_disjoint=true")
+
+
+def test_palette_reports_violating_pair(monkeypatch):
+    monkeypatch.setattr(cli, "check_disjoint_shifts",
+                        lambda params: (False, (1372, 1373)))
+    code, text = run_cli(["palette", "--delta", "100", "--r", "2"])
+    assert code == 1
+    assert text.splitlines()[0].endswith(" shifts_disjoint=false")
+    assert text.splitlines()[-1] == "violating pair  (1372, 1373)"
 
 
 def test_order_subcommand(tmp_path):
@@ -401,6 +422,11 @@ def test_gen_refuses_bad_parameter_value(argv, msg, capsys):
     assert run_cli(argv) == (2, "")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.fullmatch(f"error: {msg}", err[0])
+
+
+def test_from_spec_refuses_unknown_kind():
+    with pytest.raises(ValueError, match="unknown graph kind 'nope'"):
+        generate.from_spec("nope", [], 0)
 
 
 def test_gen_determinism():

@@ -92,7 +92,7 @@ def test_degree_stats_boundary_k2(k2):
 
 def test_degree_stats_edgeless():
     stats = degree_stats(build_graph(3, []))
-    assert stats.threshold == 0.0 and stats.big_set == frozenset()
+    assert stats.big_set == frozenset()
     assert stats.big_nbr_count == (0, 0, 0, 0)
     assert stats.nbr_degree_sum == (0, 0, 0, 0)
 

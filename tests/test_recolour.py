@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from distsum import build_graph, compute_params, resample_until_valid, run, verify
+from distsum import (build_graph, compute_params, ordering, resample_until_valid,
+                     run, verify)
 from distsum.recolour import RunError, _Run, replay
 
 from conftest import (apsp, component_graph, forbid_every_base, golden_graphs,
@@ -83,6 +84,17 @@ def test_radius_1_uses_radius_2_arithmetic(p3):
     col, trace, _ = run(p3, 1, 4)
     assert verify(p3, col, 1).passed
     assert any("radius 1" in note for note in trace.notes)
+
+
+def test_invalid_certificate_noted_and_run_verified(monkeypatch):
+    # P4 at seed 11 needs 5 rounds; with 4, vertices 3 and 4 still fail
+    monkeypatch.setattr(ordering, "DEFAULT_MAX_ROUNDS", 4)
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+    col, trace, cert = run(g, 2, 11)
+    assert not cert.valid
+    assert trace.notes == [
+        "ordering certificate not fully valid: 2 failing vertices after 4 rounds"]
+    assert verify(g, col, 2).passed
 
 
 def test_deterministic_output():
