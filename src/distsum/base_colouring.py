@@ -76,7 +76,10 @@ def edge_colour_indices(g):
     for (u, v) in g.edges:
         c = lowest_free(used[u] | used[v])
         if c <= top:
-            rotate(u, [v], [], 0, c)  # the one-vertex fan [v] takes c
+            at[u][c] = v
+            at[v][c] = u
+            used[u] |= 1 << c
+            used[v] |= 1 << c
             continue
         fan, cols = [v], []  # cols[j] is the colour of the edge (u, fan[j + 1])
         taken = 0

@@ -85,10 +85,16 @@ def format_graph(g):
 
 def format_colouring(g, colouring, meta):
     """Serialize a colouring; `meta` is an ordered mapping of scalars."""
+    vcol, ecol = colouring.vertex_colours, colouring.edge_colours
     out = ["meta " + " ".join(f"{k}={v}" for k, v in meta.items())]
-    out.extend(f"v {v} {colouring.vertex_colours[v]}" for v in g.vertices())
-    out.extend(f"E {u} {v} {colouring.edge_colours[(u, v)]}" for u, v in g.edges)
-    out.extend(f"w {v} {colouring.weighted_degree(g, v)}" for v in g.vertices())
+    out.extend(f"v {v} {vcol[v]}" for v in g.vertices())
+    edge_sum = [0] * (g.n + 1)
+    for u, v in g.edges:
+        colour = ecol[(u, v)]
+        edge_sum[u] += colour
+        edge_sum[v] += colour
+        out.append(f"E {u} {v} {colour}")
+    out.extend(f"w {v} {vcol[v] + edge_sum[v]}" for v in g.vertices())
     return "\n".join(out) + "\n"
 
 

@@ -34,6 +34,12 @@ processed vertices.  A candidate sum w is taken when its owners, the
 bitmask of processed vertices holding w, meet v's r-ball.  A step that
 still finds no free sum raises RunError rather than lift a base colour past
 the modulus.
+
+The lattice is sorted nearest first only when offset (0, 0) is taken, and a
+run sees few distinct shapes of it, so each sorted lattice is reused by the
+later steps with the same four group sizes (edges by signed shift).  That
+cache holds at most n offsets in all: a larger lattice is never kept, and
+the oldest lattices are dropped to make room for a new one.
 """
 
 from __future__ import annotations
@@ -87,6 +93,8 @@ class _Run:
         self.owners = {}            # target sum -> bitmask of its processed holders
         self.shift = {}             # processed u -> shift of its next backward edge
         self.processed_mask = 0     # the processed vertices as a bitmask
+        self.lattices = {}          # four group sizes -> sorted lattice offsets
+        self.lattice_room = g.n     # offsets the lattice cache may still hold
         self.trace = RunTrace(base_edge_colours=dict(self.colouring.edge_colours))
 
     def _incident_edges(self, v):
@@ -98,8 +106,8 @@ class _Run:
         v's edge sum.
         """
         step, modulus = self.params.step, self.params.modulus
-        is_big = self.stats.is_big
-        v_big = is_big(v)
+        big_set = self.stats.big_set
+        v_big = v in big_set
         ecol = self.colouring.edge_colours
         shift_of, anchor = self.shift, self.anchor
         # v's colour ends up at base or base + step modulo the modulus, so a
@@ -109,7 +117,7 @@ class _Run:
         groups = {modulus: [], -modulus: [], step: [], -step: []}
         edge_sum = 0
         for u in sorted(self.g.adjacency[v]):
-            key = edge_key(v, u)
+            key = (v, u) if v < u else (u, v)
             colour = ecol[key]
             edge_sum += colour
             if u in shift_of:
@@ -117,7 +125,7 @@ class _Run:
                 a = anchor[u]
                 forbidden.update(((a - step) % modulus, a % modulus,
                                   (a + step) % modulus))
-            elif not v_big and is_big(u):
+            elif not v_big and u in big_set:
                 shift = modulus
             else:
                 shift = step
@@ -137,6 +145,29 @@ class _Run:
                                   (rho + 2 * step) % modulus))
         return groups, forbidden, edge_sum
 
+    def _lattice(self, big_neg, big_pos, small_neg, small_pos):
+        """The lattice offsets of a step with these four group sizes, as
+        (L1 distance, i * modulus + j * step, i, j) for i in
+        [-big_neg, big_pos] and j in [-small_neg, small_pos], nearest first;
+        sorted once per run while kept in the cache of at most n offsets.
+        """
+        key = (big_neg, big_pos, small_neg, small_pos)
+        offsets = self.lattices.get(key)
+        if offsets is None:
+            modulus, step = self.params.modulus, self.params.step
+            offsets = sorted(
+                (abs(i) + abs(j), i * modulus + j * step, i, j)
+                for i in range(-big_neg, big_pos + 1)
+                for j in range(-small_neg, small_pos + 1))
+            size = len(offsets)
+            if size <= self.g.n:
+                while self.lattice_room < size:
+                    oldest = next(iter(self.lattices))
+                    self.lattice_room += len(self.lattices.pop(oldest))
+                self.lattices[key] = offsets
+                self.lattice_room -= size
+        return offsets
+
     # -- one step ------------------------------------------------------
 
     def process_vertex(self, v):
@@ -153,7 +184,7 @@ class _Run:
         admissible_count = modulus - len(forbidden)
 
         # Offsets are tried nearest first; (0, 0) leads that order, so it is
-        # tried alone and the rest are sorted only when its sum is taken.
+        # tried alone and the rest are looked up only when its sum is taken.
         offsets = None
         choice = None
         for base in range(1, modulus + 1):
@@ -164,10 +195,7 @@ class _Run:
                 choice = (base, w0, 0, 0)
                 break
             if offsets is None:
-                offsets = sorted(
-                    (abs(i) + abs(j), i * modulus + j * step, i, j)
-                    for i in range(-big_neg, big_pos + 1)
-                    for j in range(-small_neg, small_pos + 1))
+                offsets = self._lattice(big_neg, big_pos, small_neg, small_pos)
             for _, shift, i, j in offsets:
                 if not holders(w0 + shift, 0) & ball:
                     choice = (base, w0 + shift, i, j)

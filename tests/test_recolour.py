@@ -8,6 +8,7 @@ import pytest
 
 from distsum import (build_graph, compute_params, ordering, resample_until_valid,
                      run, verify)
+from distsum.generate import complete, regular_ish
 from distsum.recolour import RunError, _Run, replay
 
 from conftest import (apsp, component_graph, forbid_every_base, golden_graphs,
@@ -370,3 +371,43 @@ def test_run_golden_digests(family):
            for name, make, radius, seed in _run_cases()
            if name.startswith(family + " ")}
     assert got == {k: v for k, v in expected.items() if k.startswith(family + " ")}
+
+
+def _sorted_lattice(runner, big_neg, big_pos, small_neg, small_pos):
+    """The reference for _Run._lattice: the whole lattice sorted afresh."""
+    modulus, step = runner.params.modulus, runner.params.step
+    return sorted((abs(i) + abs(j), i * modulus + j * step, i, j)
+                  for i in range(-big_neg, big_pos + 1)
+                  for j in range(-small_neg, small_pos + 1))
+
+
+@pytest.mark.parametrize("make, radius, event", [
+    (lambda: regular_ish(600, 6, 1), 3, "hit"),       # 29 lattices, all kept
+    (lambda: regular_ish(100, 6, 1), 3, "eviction"),  # more offsets than n
+    (lambda: complete(25), 2, "larger than n"),       # never kept
+])
+def test_lattice_cache_matches_a_plain_sort(monkeypatch, make, radius, event):
+    g = make()
+    cached = _Run._lattice
+    events = set()
+
+    def checked(runner, *sizes):
+        kept = set(runner.lattices)
+        offsets = cached(runner, *sizes)
+        assert offsets == _sorted_lattice(runner, *sizes)
+        held = sum(map(len, runner.lattices.values()))
+        assert held == g.n - runner.lattice_room <= g.n
+        if sizes in kept:
+            events.add("hit")
+        if kept - set(runner.lattices):
+            events.add("eviction")
+        if len(offsets) > g.n:
+            assert sizes not in runner.lattices
+            events.add("larger than n")
+        return offsets
+
+    monkeypatch.setattr(_Run, "_lattice", checked)
+    with_cache = run(g, radius, 1)
+    monkeypatch.setattr(_Run, "_lattice", _sorted_lattice)
+    assert run(g, radius, 1) == with_cache
+    assert event in events
