@@ -35,11 +35,11 @@ bitmask of processed vertices holding w, meet v's r-ball.  A step that
 still finds no free sum raises RunError rather than lift a base colour past
 the modulus.
 
-The lattice is sorted nearest first only when offset (0, 0) is taken, and a
-run sees few distinct shapes of it, so each sorted lattice is reused by the
-later steps with the same four group sizes (edges by signed shift).  That
-cache holds at most n offsets in all: a larger lattice is never kept, and
-the oldest lattices are dropped to make room for a new one.
+Each step tries the lattice offsets nearest first, by L1 distance |i| + |j|
+then shift: ring by ring, each sorted on its own, out from ring 0, (0, 0).
+A ring is built the first time a step reads it and kept for the later steps
+with the same four group sizes (edges by signed shift): the rings kept hold
+the offsets the steps read plus the rest of the ring each walk stopped in.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ class _Run:
         self.owners = {}            # target sum -> bitmask of its processed holders
         self.shift = {}             # processed u -> shift of its next backward edge
         self.processed_mask = 0     # the processed vertices as a bitmask
-        self.lattices = {}          # four group sizes -> sorted lattice offsets
-        self.lattice_room = g.n     # offsets the lattice cache may still hold
+        self.rings = {}             # four group sizes -> the rings built, end to end
         self.trace = RunTrace(base_edge_colours=dict(self.colouring.edge_colours))
 
     def _incident_edges(self, v):
@@ -145,28 +144,31 @@ class _Run:
                                   (rho + 2 * step) % modulus))
         return groups, forbidden, edge_sum
 
-    def _lattice(self, big_neg, big_pos, small_neg, small_pos):
-        """The lattice offsets of a step with these four group sizes, as
-        (L1 distance, i * modulus + j * step, i, j) for i in
-        [-big_neg, big_pos] and j in [-small_neg, small_pos], nearest first;
-        sorted once per run while kept in the cache of at most n offsets.
-        """
-        key = (big_neg, big_pos, small_neg, small_pos)
-        offsets = self.lattices.get(key)
-        if offsets is None:
-            modulus, step = self.params.modulus, self.params.step
-            offsets = sorted(
-                (abs(i) + abs(j), i * modulus + j * step, i, j)
-                for i in range(-big_neg, big_pos + 1)
-                for j in range(-small_neg, small_pos + 1))
-            size = len(offsets)
-            if size <= self.g.n:
-                while self.lattice_room < size:
-                    oldest = next(iter(self.lattices))
-                    self.lattice_room += len(self.lattices.pop(oldest))
-                self.lattices[key] = offsets
-                self.lattice_room -= size
-        return offsets
+    def _grow(self, w0, ball, sizes, offsets):
+        """Extend offsets, the lattice rings built so far, ring by ring until
+        one holds an offset whose sum w0 + shift no processed vertex of ball
+        holds; return that offset, or None once the lattice is whole.  Ring d
+        is the offsets (i * modulus + j * step, i, j) with |i| + |j| = d and
+        (i, j) in [-big_neg, big_pos] x [-small_neg, small_pos], sorted."""
+        modulus, step = self.params.modulus, self.params.step
+        holders = self.owners.get
+        big_neg, big_pos, small_neg, small_pos = sizes
+        # offsets ends with a whole ring, so the next ring is one further out
+        start = abs(offsets[-1][1]) + abs(offsets[-1][2]) + 1 if offsets else 0
+        for d in range(start, max(big_neg, big_pos) + max(small_neg, small_pos) + 1):
+            ring = []
+            for i in range(max(-big_neg, -d), min(big_pos, d) + 1):
+                j = d - abs(i)
+                if j <= small_pos:
+                    ring.append((i * modulus + j * step, i, j))
+                if 0 < j <= small_neg:
+                    ring.append((i * modulus - j * step, i, -j))
+            ring.sort()
+            offsets += ring
+            for offset in ring:
+                if not holders(w0 + offset[0], 0) & ball:
+                    return offset
+        return None
 
     # -- one step ------------------------------------------------------
 
@@ -175,40 +177,38 @@ class _Run:
         step, modulus = params.step, params.modulus
 
         groups, forbidden, edge_sum = self._incident_edges(v)
-        big_pos, big_neg = len(groups[modulus]), len(groups[-modulus])
-        small_pos, small_neg = len(groups[step]), len(groups[-step])
-        lattice_size = (big_neg + big_pos + 1) * (small_neg + small_pos + 1)
+        sizes = (len(groups[-modulus]), len(groups[modulus]),
+                 len(groups[-step]), len(groups[step]))
+        lattice_size = (sizes[0] + sizes[1] + 1) * (sizes[2] + sizes[3] + 1)
         ball = self.balls[v]
-        holders = self.owners.get
         backward_r_count = (self.processed_mask & ball).bit_count()
         admissible_count = modulus - len(forbidden)
 
-        # Offsets are tried nearest first; (0, 0) leads that order, so it is
-        # tried alone and the rest are looked up only when its sum is taken.
-        offsets = None
-        choice = None
+        # nearest first: the rings built so far, then those grown past them
+        offsets = self.rings.setdefault(sizes, [])
+        holders = self.owners.get
         for base in range(1, modulus + 1):
             if base % modulus in forbidden:
                 continue
             w0 = base + edge_sum
-            if not holders(w0, 0) & ball:
-                choice = (base, w0, 0, 0)
-                break
-            if offsets is None:
-                offsets = self._lattice(big_neg, big_pos, small_neg, small_pos)
-            for _, shift, i, j in offsets:
-                if not holders(w0 + shift, 0) & ball:
-                    choice = (base, w0 + shift, i, j)
+            for offset in offsets:
+                if not holders(w0 + offset[0], 0) & ball:
                     break
-            if choice is not None:
-                break
-        if choice is None:
+            else:
+                if len(offsets) == lattice_size:
+                    continue            # every offset's sum is taken
+                offset = self._grow(w0, ball, sizes, offsets)
+                if offset is None:
+                    continue
+            break
+        else:
             raise RunError(
                 f"vertex {v}: no free target sum among {admissible_count} "
                 f"admissible bases x {lattice_size} lattice offsets, "
                 f"{backward_r_count} processed r-neighbours")
 
-        base_colour, target, need_big, need_small = choice
+        shift, need_big, need_small = offset
+        target = w0 + shift
         edge_deltas = []
         compensations = []
         for count, unit in ((need_big, modulus), (need_small, step)):
@@ -222,14 +222,14 @@ class _Run:
                     self.shift[u] = -delta
                     compensations.append((u, -delta))
 
-        self.colouring.vertex_colours[v] = base_colour
-        self.anchor[v] = base_colour
+        self.colouring.vertex_colours[v] = base
+        self.anchor[v] = base
         self.target[v] = target
         self.owners[target] = holders(target, 0) | 1 << v
         self.shift[v] = -modulus if self.stats.is_big(v) else -step
         self.processed_mask |= 1 << v
 
-        rec = StepRecord(v, base_colour, target, edge_deltas, compensations,
+        rec = StepRecord(v, base, target, edge_deltas, compensations,
                          admissible_count, lattice_size, backward_r_count)
         self.trace.steps.append(rec)
         if self.check_invariants:

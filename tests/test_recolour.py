@@ -1,7 +1,9 @@
 import hashlib
 import json
+import random
 import time
 from dataclasses import astuple
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -374,40 +376,99 @@ def test_run_golden_digests(family):
 
 
 def _sorted_lattice(runner, big_neg, big_pos, small_neg, small_pos):
-    """The reference for _Run._lattice: the whole lattice sorted afresh."""
+    """The reference for the ring walk: the whole lattice sorted afresh."""
     modulus, step = runner.params.modulus, runner.params.step
     return sorted((abs(i) + abs(j), i * modulus + j * step, i, j)
                   for i in range(-big_neg, big_pos + 1)
                   for j in range(-small_neg, small_pos + 1))
 
 
-@pytest.mark.parametrize("make, radius, event", [
-    (lambda: regular_ish(600, 6, 1), 3, "hit"),       # 29 lattices, all kept
-    (lambda: regular_ish(100, 6, 1), 3, "eviction"),  # more offsets than n
-    (lambda: complete(25), 2, "larger than n"),       # never kept
+class _TakenBut:
+    """Stands in for _Run.owners: every sum but the given ones has a holder,
+    vertex 0, so with ball 1 only those sums are free."""
+
+    def __init__(self, *free):
+        self.free = free
+
+    def get(self, w, default):
+        return default if w in self.free else 1
+
+
+@pytest.mark.parametrize("degree, radius", [(150, 2), (20, 3), (6, 2)])
+def test_ring_walk_is_the_sorted_lattice(degree, radius):
+    # modulus / step is 3, 2 and 5 here, so shifts tie inside a ring
+    runner = _Run(complete(2), 2, compute_params(degree, radius))
+    rng = random.Random(degree)
+    shapes = list(product(range(5), repeat=4))
+    shapes += [tuple(rng.randint(0, 40) for _ in range(4)) for _ in range(40)]
+    for sizes in shapes:
+        order = [offset[1:] for offset in _sorted_lattice(runner, *sizes)]
+        # every sum taken: the walk grows the whole lattice, in order
+        runner.owners = _TakenBut()
+        offsets = []
+        assert runner._grow(0, 1, sizes, offsets) is None
+        assert offsets == order, sizes
+        # one sum free: the walk stops at its first offset in that order,
+        # keeping the rings up to that offset's own
+        shift = rng.choice(order)[0]
+        first = next(k for k, offset in enumerate(order) if offset[0] == shift)
+        distance = abs(order[first][1]) + abs(order[first][2])
+        kept = sum(1 for _, i, j in order if abs(i) + abs(j) <= distance)
+        runner.owners = _TakenBut(shift)
+        offsets = []
+        assert runner._grow(0, 1, sizes, offsets) == order[first], sizes
+        assert offsets == order[:kept], sizes
+        # a later walk goes on from the rings kept
+        runner.owners = _TakenBut()
+        assert runner._grow(0, 1, sizes, offsets) is None
+        assert offsets == order, sizes
+
+
+_ALL_EVENTS = {"ring reused", "ring grown", "whole lattice taken"}
+
+
+@pytest.mark.parametrize("make, radius, seen", [
+    pytest.param(lambda: regular_ish(600, 6, 1), 3, _ALL_EVENTS, id="regular-ish-600-6-r3"),
+    pytest.param(lambda: regular_ish(100, 6, 1), 3, _ALL_EVENTS, id="regular-ish-100-6-r3"),
+    # each step has group sizes of its own, so no ring is read twice
+    pytest.param(lambda: complete(25), 2, {"ring grown"}, id="complete-25-r2"),
 ])
-def test_lattice_cache_matches_a_plain_sort(monkeypatch, make, radius, event):
+def test_ring_walk_matches_a_plain_sort(monkeypatch, make, radius, seen):
     g = make()
-    cached = _Run._lattice
+    incident, grow = _Run._incident_edges, _Run._grow
     events = set()
 
-    def checked(runner, *sizes):
-        kept = set(runner.lattices)
-        offsets = cached(runner, *sizes)
-        assert offsets == _sorted_lattice(runner, *sizes)
-        held = sum(map(len, runner.lattices.values()))
-        assert held == g.n - runner.lattice_room <= g.n
-        if sizes in kept:
-            events.add("hit")
-        if kept - set(runner.lattices):
-            events.add("eviction")
-        if len(offsets) > g.n:
-            assert sizes not in runner.lattices
-            events.add("larger than n")
-        return offsets
+    def spied_incident(runner, v):
+        groups, forbidden, edge_sum = incident(runner, v)
+        modulus, step = runner.params.modulus, runner.params.step
+        sizes = (len(groups[-modulus]), len(groups[modulus]),
+                 len(groups[-step]), len(groups[step]))
+        if runner.rings.get(sizes):
+            events.add("ring reused")
+        return groups, forbidden, edge_sum
 
-    monkeypatch.setattr(_Run, "_lattice", checked)
-    with_cache = run(g, radius, 1)
-    monkeypatch.setattr(_Run, "_lattice", _sorted_lattice)
-    assert run(g, radius, 1) == with_cache
-    assert event in events
+    def spied_grow(runner, w0, ball, sizes, offsets):
+        before = len(offsets)
+        offset = grow(runner, w0, ball, sizes, offsets)
+        order = [x[1:] for x in _sorted_lattice(runner, *sizes)]
+        assert offsets == order[:len(offsets)]
+        if len(offsets) > before:
+            events.add("ring grown")
+        if offset is None:
+            assert offsets == order
+            events.add("whole lattice taken")
+        return offset
+
+    def plain_sort(runner, w0, ball, sizes, offsets):
+        # called once per group sizes: a step walks a whole lattice inline
+        offsets += [x[1:] for x in _sorted_lattice(runner, *sizes)]
+        return next((offset for offset in offsets
+                     if not runner.owners.get(w0 + offset[0], 0) & ball), None)
+
+    monkeypatch.setattr(_Run, "_incident_edges", spied_incident)
+    monkeypatch.setattr(_Run, "_grow", spied_grow)
+    walked = run(g, radius, 1)
+    monkeypatch.setattr(_Run, "_incident_edges", incident)
+    monkeypatch.setattr(_Run, "_grow", plain_sort)
+    assert run(g, radius, 1) == walked
+    assert events == seen
