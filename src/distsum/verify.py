@@ -5,10 +5,10 @@ distinctness for every vertex pair within the radius, and an optional palette
 bound.  Nothing here depends on how the colouring was produced, and this
 module builds its own distance tables.  Each vertex's closed r-ball is an
 int bitmask from r rounds of B_k(v) = B_{k-1}(v) | OR of B_{k-1}(u) over
-u in N(v), from B_0(v) = {v}.  A vertex is the first of an equal-sums pair
-only when its ball meets a later vertex with the same weighted degree, so
-a BFS truncated at the radius runs only from such a vertex, to put its
-witnesses in the order a BFS from every vertex would find them.
+u in N(v), from B_0(v) = {v}.  The vertices holding each weighted degree
+form one bitmask too, so the later vertices within the radius that share
+v's sum are that mask AND v's ball, shifted past v; they are noted as
+equal-sums witnesses (v, u) in ascending u.
 
 The incidence check costs O(m): one pass over each vertex's incident edge
 colours, which also sums its weighted degree.  Only a vertex whose colours
@@ -40,24 +40,6 @@ class VerificationReport:
     @property
     def passed(self):
         return not self.violations
-
-
-def _truncated_bfs(adjacency, v, radius):
-    seen = {v}
-    frontier = [v]
-    out = []
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for u in adjacency[w]:
-                if u not in seen:
-                    seen.add(u)
-                    out.append(u)
-                    nxt.append(u)
-        if not nxt:
-            break
-        frontier = nxt
-    return out
 
 
 def _closed_balls(adjacency, radius):
@@ -96,7 +78,7 @@ def verify(g, colouring, radius, bound=None):
     for (u, v) in g.edges:
         if vcol[u] == vcol[v]:
             note(("adjacent-vertices", (u, v)))
-        ce = ecol[edge_key(u, v)]
+        ce = ecol[(u, v)]
         if ce == vcol[u] or ce == vcol[v]:
             note(("edge-endpoint", (u, v)))
     sums = {}
@@ -114,18 +96,17 @@ def verify(g, colouring, radius, bound=None):
         for a, b in clashes:
             note(("adjacent-edges", (edge_key(v, a), edge_key(v, b))))
 
-    pending = defaultdict(int)      # sum -> bitmask of vertices not yet visited
+    by_sum = defaultdict(int)       # sum -> bitmask of the vertices holding it
     for v in g.vertices():
-        pending[sums[v]] |= 1 << v
+        by_sum[sums[v]] |= 1 << v
     balls = _closed_balls(g.adjacency, radius)
     for v in g.vertices():
-        pending[sums[v]] ^= 1 << v
-        near = pending[sums[v]] & balls[v]  # later vertices within r sharing v's sum
-        if not near:
-            continue
-        for u in _truncated_bfs(g.adjacency, v, radius):
-            if near >> u & 1:
-                note(("equal-sums", (v, u)))
+        # bit i of near: vertex v + 1 + i is within r of v and shares v's sum
+        near = (by_sum[sums[v]] & balls[v]) >> (v + 1)
+        while near:
+            low = near & -near
+            note(("equal-sums", (v, v + low.bit_length())))
+            near ^= low
 
     report.max_colour = colouring.max_colour()
     if bound is not None and report.max_colour > bound:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from distsum import cli, files, generate
+from distsum import TotalColouring, cli, files, generate, verify
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
 
@@ -114,6 +114,28 @@ def test_verify_exit_codes(tmp_path):
     cpath.write_text("\n".join(lines) + "\n")
     assert run_cli(["verify", "--input", str(gpath), "--colouring", str(cpath),
                     "--r", "2"])[0] == 1
+
+
+def test_verify_prints_at_most_fifty_violations(tmp_path):
+    # C60, vertices coloured 1, 2 and edges 3, 4 alternately: a proper
+    # colouring whose sums alternate 8, 9, so every pair at distance 2 clashes
+    g = generate.cycle(60)
+    colouring = TotalColouring({v: 2 - v % 2 for v in g.vertices()},
+                               {(u, v): 3 if u % 2 and v == u + 1 else 4
+                                for u, v in g.edges})
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    gpath.write_text(files.format_graph(g))
+    cpath.write_text(files.format_colouring(g, colouring, {}))
+    report = verify(g, colouring, 2)
+    assert len(report.violations) == 60
+    code, text = run_cli(["verify", "--input", str(gpath), "--colouring", str(cpath),
+                          "--r", "2"])
+    lines = text.splitlines()
+    assert code == 1
+    assert lines[0] == "verify pass=false max_colour=4 violations=60"
+    assert lines[1:] == [f"violation {kind} {witness}"
+                         for kind, witness in report.violations[:50]]
+    assert lines[1:3] == ["violation equal-sums (1, 3)", "violation equal-sums (1, 59)"]
 
 
 @pytest.mark.parametrize("radius", ["0", "-3"])

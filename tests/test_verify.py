@@ -52,8 +52,8 @@ def test_bound_check(k2):
     assert report.max_colour == 9
 
 
-def test_equal_sums_bfs_stops_at_an_empty_frontier(k2):
-    # the BFS from vertex 1 runs out of vertices after one layer
+def test_closed_balls_stop_growing_at_a_huge_radius(k2):
+    # both balls are the whole of K2 after one round, so the rest are skipped
     col = TotalColouring({1: 1, 2: 1}, {(1, 2): 3})
     start = time.perf_counter()
     report = verify(k2, col, 10 ** 9)
@@ -164,10 +164,10 @@ def test_random_corruptions_match_pairwise_oracle(seed):
 
 def _equal_sums_oracle(g, col, radius, dist):
     """Every vertex pair u > v at BFS distance <= radius with equal weighted
-    degrees, ordered by v and then by when a BFS from v reaches u; `dist`
-    is apsp(g), so each dist[v] is in BFS order from v."""
+    degrees, ordered by v and then by u; `dist` is apsp(g)."""
     sums = {v: col.weighted_degree(g, v) for v in g.vertices()}
-    return [("equal-sums", (v, u)) for v in g.vertices() for u, d in dist[v].items()
+    return [("equal-sums", (v, u)) for v in g.vertices()
+            for u, d in sorted(dist[v].items())
             if u > v and d <= radius and sums[u] == sums[v]]
 
 
