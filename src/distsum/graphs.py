@@ -174,9 +174,6 @@ class DegreeStats:
     big_nbr_count: tuple     # per vertex: neighbours in the big class
     nbr_degree_sum: tuple    # per vertex: sum of neighbour degrees
 
-    def is_big(self, v):
-        return v in self.big_set
-
 
 def degree_stats(g):
     """Compute the small/big partition and per-vertex neighbour statistics.
@@ -187,15 +184,11 @@ def degree_stats(g):
     if stats is not None:
         return stats
     threshold = g.max_degree ** (2.0 / 3.0)
-    big = frozenset(v for v in g.vertices() if g.degree(v) > threshold)
-    big_cnt = [0] * (g.n + 1)
-    deg_sum = [0] * (g.n + 1)
-    for v in g.vertices():
-        for u in g.adjacency[v]:
-            if u in big:
-                big_cnt[v] += 1
-            deg_sum[v] += g.degree(u)
-    stats = DegreeStats(big, tuple(big_cnt), tuple(deg_sum))
+    adjacency = g.adjacency
+    degrees = list(map(len, adjacency))
+    big = frozenset(v for v in g.vertices() if degrees[v] > threshold)
+    stats = DegreeStats(big, tuple(len(nbrs & big) for nbrs in adjacency),
+                        tuple(sum(map(degrees.__getitem__, nbrs)) for nbrs in adjacency))
     g._tables["degree_stats"] = stats
     return stats
 
@@ -206,35 +199,27 @@ class BackwardStats:
 
     backward_r_count: tuple     # per vertex: |backward r-neighbours|
     backward_big_count: tuple   # per vertex: backward neighbours in the big class
-    masked_r_count: tuple       # per vertex: r-neighbours inside the supplied mask
 
 
-def backward_stats(g, ordering, radius, mask=None, neighbourhoods=None):
+def backward_stats(g, ordering, balls):
     """Backward counts for every vertex, given a processing order.
 
-    `ordering` is a permutation of the vertices; `mask` is an optional vertex
-    set for the masked r-neighbour count (the mask is applied to the whole
-    r-neighbourhood, not only its backward part).  The r-neighbour counts
-    are bit counts of the vertex's ball ANDed with the earlier vertices and
-    with the mask, each held as a bitmask.
+    `ordering` is a permutation of the vertices and `balls` the r-ball
+    table of the radius in question, as all_r_neighbourhoods returns it.
+    The backward r-neighbour count is the bit count of the vertex's ball
+    ANDed with the vertices ordered before it, held as a bitmask.
     """
     if sorted(ordering) != list(g.vertices()):
         raise ValueError("ordering must be a permutation of the vertices")
-    if neighbourhoods is None:
-        neighbourhoods = all_r_neighbourhoods(g, radius)
     big = degree_stats(g).big_set
-    mask_bits = reduce(or_, (1 << u for u in mask or ()), 0)
 
     back_r_cnt = [0] * (g.n + 1)
     back_big = [0] * (g.n + 1)
-    masked = [0] * (g.n + 1)
     earlier = set()                 # the vertices ordered before v
     earlier_bits = 0                # the same, as a bitmask
     for v in ordering:
-        nbrs_r = neighbourhoods[v]
-        back_r_cnt[v] = (earlier_bits & nbrs_r).bit_count()
+        back_r_cnt[v] = (earlier_bits & balls[v]).bit_count()
         back_big[v] = len(g.adjacency[v] & earlier & big)
-        masked[v] = (mask_bits & nbrs_r).bit_count()
         earlier.add(v)
         earlier_bits |= 1 << v
-    return BackwardStats(tuple(back_r_cnt), tuple(back_big), tuple(masked))
+    return BackwardStats(tuple(back_r_cnt), tuple(back_big))

@@ -67,21 +67,21 @@ def checkable_vertices(g, stats):
 def condition_counts(g, weights, radius):
     """The raw quantities behind the conditions, for every checkable vertex.
 
-    Returns {vertex: (low_nbr_count, backward_big_count, backward_r_count)},
-    all derived from backward_stats against the ordering induced by the
-    weights, with the low group as mask.
+    Returns {vertex: (low_nbr_count, backward_big_count, backward_r_count)}
+    against the ordering induced by the weights.  The low count is the bit
+    count of v's r-ball ANDed with the low group's bitmask, so it counts
+    the whole r-neighbourhood, not only its backward part; the backward
+    counts come from backward_stats.
     """
     if radius < 2:
         raise ValueError("ordering conditions need radius >= 2")
     tau = split_threshold(g.max_degree)
-    stats = degree_stats(g)
-    ordering = derive_ordering(g, weights)
-    low = frozenset(v for v in g.vertices() if weights[v] < tau)
-    bstats = backward_stats(g, ordering, radius, mask=low,
-                            neighbourhoods=all_r_neighbourhoods(g, radius))
-    return {v: (bstats.masked_r_count[v], bstats.backward_big_count[v],
+    balls = all_r_neighbourhoods(g, radius)
+    bstats = backward_stats(g, derive_ordering(g, weights), balls)
+    low = sum(1 << v for v in g.vertices() if weights[v] < tau)     # distinct bits
+    return {v: ((low & balls[v]).bit_count(), bstats.backward_big_count[v],
                 bstats.backward_r_count[v])
-            for v in checkable_vertices(g, stats)}
+            for v in checkable_vertices(g, degree_stats(g))}
 
 
 def check_conditions(g, weights, radius):

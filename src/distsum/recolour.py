@@ -226,7 +226,7 @@ class _Run:
         self.anchor[v] = base
         self.target[v] = target
         self.owners[target] = holders(target, 0) | 1 << v
-        self.shift[v] = -modulus if self.stats.is_big(v) else -step
+        self.shift[v] = -modulus if v in self.stats.big_set else -step
         self.processed_mask |= 1 << v
 
         rec = StepRecord(v, base, target, edge_deltas, compensations,
@@ -251,7 +251,7 @@ class _Run:
             if u in processed:
                 if self.colouring.weighted_degree(self.g, u) != self.target[u]:
                     bad(f"after {label}: sum of {u} drifted from its target")
-                unit = modulus if self.stats.is_big(u) else step
+                unit = modulus if u in self.stats.big_set else step
                 if vcol[u] not in (self.anchor[u], self.anchor[u] + unit):
                     bad(f"after {label}: colour of {u} left its envelope")
                 if self.anchor[u] > modulus:

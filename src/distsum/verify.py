@@ -1,9 +1,10 @@
 """Algorithm-agnostic validation of total colourings.
 
 Checks raw-colour properness (not the modular variant), weighted-degree
-distinctness for every vertex pair within the radius, and an optional palette
-bound.  Nothing here depends on how the colouring was produced, and this
-module builds its own distance tables.  Each vertex's closed r-ball is an
+distinctness for every vertex pair within the radius, that every colour is at
+least 1 (colourings map into {1, ..., k}), and an optional palette bound.
+Nothing here depends on how the colouring was produced, and this module
+builds its own distance tables.  Each vertex's closed r-ball is an
 int bitmask from r rounds of B_k(v) = B_{k-1}(v) | OR of B_{k-1}(u) over
 u in N(v), from B_0(v) = {v}.  The vertices holding each weighted degree
 form one bitmask too, so the later vertices within the radius that share
@@ -14,7 +15,8 @@ The incidence check costs O(m): one pass over each vertex's incident edge
 colours, which also sums its weighted degree.  Only a vertex whose colours
 repeat is grouped by colour, and each group of two or more edges yields every
 pair in it as an adjacent-edges witness, in the order a scan of all pairs
-would find them.
+would find them.  Colours below 1 cost one C-level min() over each colour
+map; only a colouring that has one is scanned element by element.
 """
 
 from __future__ import annotations
@@ -57,8 +59,11 @@ def _closed_balls(adjacency, radius):
 def verify(g, colouring, radius, bound=None):
     """Check a total colouring of g; returns a VerificationReport.
 
-    Violations are (kind, witness) pairs; the report passes iff none were
-    collected.  Raises IncompleteColouringError unless exactly g is coloured.
+    Violations are (kind, witness) pairs, noted in this order: per edge,
+    adjacent-vertices and edge-endpoint; adjacent-edges; equal-sums;
+    colour-below-one for each vertex, then each edge; bound-exceeded.  The
+    report passes iff none were collected.  Raises IncompleteColouringError
+    unless exactly g is coloured.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -107,6 +112,14 @@ def verify(g, colouring, radius, bound=None):
             low = near & -near
             note(("equal-sums", (v, v + low.bit_length())))
             near ^= low
+
+    if min(vcol.values(), default=1) < 1 or min(ecol.values(), default=1) < 1:
+        for v in g.vertices():
+            if vcol[v] < 1:
+                note(("colour-below-one", v))
+        for key in g.edges:
+            if ecol[key] < 1:
+                note(("colour-below-one", key))
 
     report.max_colour = colouring.max_colour()
     if bound is not None and report.max_colour > bound:

@@ -100,7 +100,7 @@ def ordering_counts_oracle(g, weights, radius):
                   if u != v and dist[v].get(u, 10 ** 9) <= radius]
         low = sum(1 for u in r_nbrs if weights[u] < tau)
         big_back = sum(1 for u in g.adjacency[v]
-                       if stats.is_big(u) and (weights[u], u) < key)
+                       if u in stats.big_set and (weights[u], u) < key)
         back_r = sum(1 for u in r_nbrs if (weights[u], u) < key)
         out[v] = (low, big_back, back_r)
     return out

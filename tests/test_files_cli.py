@@ -138,6 +138,18 @@ def test_verify_prints_at_most_fifty_violations(tmp_path):
     assert lines[1:3] == ["violation equal-sums (1, 3)", "violation equal-sums (1, 59)"]
 
 
+@pytest.mark.parametrize("colours,witness", [
+    ((0, 2, 1), "1"), ((-5, 7, 3), "1"), ((1, 3, 0), "(1, 2)")])
+def test_verify_fails_colours_below_one(tmp_path, colours, witness):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    run_cli(["gen", "complete", "2", "--output", str(gpath)])
+    cpath.write_text("v 1 {}\nv 2 {}\nE 1 2 {}\n".format(*colours))
+    code, text = run_cli(["verify", "--input", str(gpath), "--colouring", str(cpath),
+                          "--r", "1", "--bound", "8"])
+    assert code == 1
+    assert text.splitlines()[1:] == [f"violation colour-below-one {witness}"]
+
+
 @pytest.mark.parametrize("radius", ["0", "-3"])
 def test_verify_refuses_radius_below_one(tmp_path, capsys, radius):
     gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"

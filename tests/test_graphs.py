@@ -80,8 +80,7 @@ def test_neighbourhood_size_bounds():
 def test_degree_stats_star():
     g = build_graph(5, [(1, v) for v in (2, 3, 4, 5)])
     stats = degree_stats(g)
-    assert stats.is_big(1)                      # degree 4 > 4**(2/3)
-    assert not any(stats.is_big(v) for v in (2, 3, 4, 5))
+    assert stats.big_set == frozenset({1})      # degree 4 > 4**(2/3)
     assert stats.big_nbr_count[2] == 1 and stats.big_nbr_count[1] == 0
 
 
@@ -111,7 +110,7 @@ def test_degree_stats_partition():
 
 
 def test_backward_stats_p3(p3):
-    bs = backward_stats(p3, [1, 2, 3], 2)       # only the centre 2 is big
+    bs = backward_stats(p3, [1, 2, 3], all_r_neighbourhoods(p3, 2))  # centre 2 is big
     assert bs.backward_big_count[3] == 1 and bs.backward_big_count[2] == 0
     assert bs.backward_r_count[3] == 2
     assert bs.backward_r_count[1] == 0 and bs.backward_big_count[1] == 0
@@ -119,23 +118,14 @@ def test_backward_stats_p3(p3):
 
 def test_backward_stats_c5(c5):
     dist = apsp(c5)
-    bs = backward_stats(c5, [1, 2, 3, 4, 5], 2)
+    bs = backward_stats(c5, [1, 2, 3, 4, 5], all_r_neighbourhoods(c5, 2))
     expected = sum(1 for u in c5.vertices() if u != 5 and dist[5][u] <= 2)
     assert bs.backward_r_count[5] == expected == 4
 
 
-def test_backward_stats_mask():
-    g = random_graph(20, 0.2, 2)
-    mask = frozenset(v for v in g.vertices() if v % 3 == 0)
-    bs = backward_stats(g, list(g.vertices()), 2, mask=mask)
-    nbrs = all_r_neighbourhoods(g, 2)
-    for v in g.vertices():
-        assert bs.masked_r_count[v] == sum(1 for u in nbrs[v] if u in mask)
-
-
 def test_backward_stats_rejects_non_permutation(p3):
     with pytest.raises(ValueError):
-        backward_stats(p3, [1, 1, 3], 2)
+        backward_stats(p3, [1, 1, 3], all_r_neighbourhoods(p3, 2))
 
 
 def test_ball(p3):
@@ -198,15 +188,14 @@ def test_r_neighbourhood_tables_match_reference_bfs(family):
             assert _as_tuples(all_r_neighbourhoods(g, r)) == reference[r], (name, r)
 
 
-def _backward_oracle(g, ordering, mask, nbrs_r):
+def _backward_oracle(g, ordering, nbrs_r):
     """The backward counts by comparing positions in the ordering."""
     pos = {v: i for i, v in enumerate(ordering)}
     big = {v for v in g.vertices() if g.degree(v) > g.max_degree ** (2.0 / 3.0)}
     back = [frozenset()] + [frozenset(u for u in g.adjacency[v] if pos[u] < pos[v])
                             for v in g.vertices()]
     return ([0] + [sum(1 for u in nbrs_r[v] if pos[u] < pos[v]) for v in g.vertices()],
-            [0] + [sum(1 for u in back[v] if u in big) for v in g.vertices()],
-            [0] + [sum(1 for u in nbrs_r[v] if u in mask) for v in g.vertices()])
+            [0] + [sum(1 for u in back[v] if u in big) for v in g.vertices()])
 
 
 @pytest.mark.parametrize("family", ["gnp", "sparse"])
@@ -217,11 +206,9 @@ def test_backward_stats_match_position_oracle(family):
         for r in (2, 3):
             ordering = list(g.vertices())
             rng.shuffle(ordering)
-            mask = frozenset(v for v in g.vertices() if rng.random() < 0.3)
-            bs = backward_stats(g, ordering, r, mask=mask)
-            got = (list(bs.backward_r_count), list(bs.backward_big_count),
-                   list(bs.masked_r_count))
-            assert got == _backward_oracle(g, ordering, mask, reference[r]), (name, r)
+            bs = backward_stats(g, ordering, all_r_neighbourhoods(g, r))
+            got = (list(bs.backward_r_count), list(bs.backward_big_count))
+            assert got == _backward_oracle(g, ordering, reference[r]), (name, r)
 
 
 # -- tables cached on the graph ---------------------------------------------

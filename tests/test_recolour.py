@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from distsum import (build_graph, compute_params, ordering, resample_until_valid,
-                     run, verify)
+from distsum import (backward_stats, build_graph, compute_params, ordering,
+                     resample_until_valid, run, verify)
 from distsum.generate import complete, regular_ish
+from distsum.graphs import all_r_neighbourhoods
 from distsum.recolour import RunError, _Run, replay
 
 from conftest import (apsp, component_graph, forbid_every_base, golden_graphs,
@@ -227,8 +228,8 @@ def test_invariant_checker_envelope_has_two_colours():
     # only ever moves by the step and a big one by the modulus
     runner = _half_run(4)
     vcol, params = runner.colouring.vertex_colours, runner.params
-    small = min(u for u in runner.shift if not runner.stats.is_big(u))
-    big = min(u for u in runner.shift if runner.stats.is_big(u))
+    small = min(runner.shift.keys() - runner.stats.big_set)
+    big = min(runner.shift.keys() & runner.stats.big_set)
     vcol[small] = runner.anchor[small] + params.modulus
     vcol[big] = runner.anchor[big] + params.step
     runner._check_state("fault", [small, big])
@@ -349,7 +350,8 @@ def _run_digest(g, radius, seed):
 def test_backward_count_is_processed_r_neighbours(family):
     # the count the counting argument bounds: every vertex earlier in the
     # ordering within BFS distance r, which holds one sum each, so it is
-    # at least the number of distinct sums they hold
+    # at least the number of distinct sums they hold; it is also the count
+    # the ordering's backward_span condition caps, taken on another path
     for name, make, radius, seed in _run_cases():
         if not name.startswith(family + " "):
             continue
@@ -359,10 +361,12 @@ def test_backward_count_is_processed_r_neighbours(family):
         pos = {v: i for i, v in enumerate(cert.ordering)}
         target = {rec.vertex: rec.target_sum for rec in trace.steps}
         dist = apsp(g)
+        ordered = backward_stats(g, cert.ordering, all_r_neighbourhoods(g, radius))
         for rec in trace.steps:
             v = rec.vertex
             near = [u for u, d in dist[v].items() if 1 <= d <= radius and pos[u] < pos[v]]
             assert rec.backward_r_count == len(near), (name, radius, v)
+            assert rec.backward_r_count == ordered.backward_r_count[v], (name, radius, v)
             assert rec.backward_r_count >= len({target[u] for u in near})
 
 

@@ -52,6 +52,17 @@ def test_bound_check(k2):
     assert report.max_colour == 9
 
 
+def test_colours_below_one(k2, p3):
+    # otherwise proper, with distinct sums: only the colours below 1 fail
+    report = verify(k2, TotalColouring({1: 0, 2: 2}, {(1, 2): 1}), 1, bound=2)
+    assert report.violations == [("colour-below-one", 1)]
+    # the vertices in id order, then the edges in g.edges order, then the bound
+    col = TotalColouring({1: 4, 2: 0, 3: -5}, {(1, 2): 1, (2, 3): -2})
+    assert verify(p3, col, 1, bound=3).violations == [
+        ("colour-below-one", 2), ("colour-below-one", 3),
+        ("colour-below-one", (2, 3)), ("bound-exceeded", (4, 3))]
+
+
 def test_closed_balls_stop_growing_at_a_huge_radius(k2):
     # both balls are the whole of K2 after one round, so the rest are skipped
     col = TotalColouring({1: 1, 2: 1}, {(1, 2): 3})
@@ -87,7 +98,7 @@ def test_distance_respects_components():
 
 def _properness_oracle(g, col):
     """Properness violations from a pairwise scan of every two edges at a
-    vertex, in the order verify reports them."""
+    vertex, then the colours below 1, in the order verify reports them."""
     vcol, ecol = col.vertex_colours, col.edge_colours
     out = []
     for (u, v) in g.edges:
@@ -101,6 +112,8 @@ def _properness_oracle(g, col):
             for b in incident[i + 1:]:
                 if ecol[edge_key(v, a)] == ecol[edge_key(v, b)]:
                     out.append(("adjacent-edges", (edge_key(v, a), edge_key(v, b))))
+    out += [("colour-below-one", v) for v in g.vertices() if vcol[v] < 1]
+    out += [("colour-below-one", key) for key in g.edges if ecol[key] < 1]
     return out
 
 
