@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import edge_key
 
 
-@dataclass
-class TotalColouring:
+class TotalColouring(NamedTuple):
     """Colours for every vertex and every edge of a graph.
 
     ``edge_colours`` is keyed by canonical (min, max) endpoint pairs.
@@ -26,5 +25,4 @@ class TotalColouring:
             self.edge_colours[edge_key(v, u)] for u in g.adjacency[v])
 
     def max_colour(self):
-        vals = list(self.vertex_colours.values()) + list(self.edge_colours.values())
-        return max(vals) if vals else 0
+        return max([*self.vertex_colours.values(), *self.edge_colours.values()], default=0)

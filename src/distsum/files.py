@@ -37,7 +37,7 @@ def records(lines):
 
 
 def parse_graph_lines(lines):
-    n = m = None
+    n = m = header_line = None
     edges = []
     edge_lines = []
     for lineno, fields in records(lines):
@@ -59,17 +59,17 @@ def parse_graph_lines(lines):
             edges.append((a, b))
             edge_lines.append(lineno)
         else:
-            n, m = a, b
+            n, m, header_line = a, b, lineno
     if n is None:
         raise FormatError("missing 'p <n> <m>' header")
     if len(edges) != m:
-        raise FormatError(f"header declares {m} edges, found {len(edges)}")
+        raise FormatError(f"line {header_line}: header declares {m} edges, "
+                          f"found {len(edges)}")
     try:
         return build_graph(n, edges)
     except GraphError as exc:
-        if exc.edge is None:
-            raise FormatError(str(exc)) from exc
-        raise FormatError(f"line {edge_lines[exc.edge]}: {exc.reason}") from exc
+        line = header_line if exc.edge is None else edge_lines[exc.edge]
+        raise FormatError(f"line {line}: {exc.reason}") from exc
 
 
 def parse_graph(pathname):

@@ -9,10 +9,10 @@ distance r, is an AND and a bit count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import or_
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -161,8 +161,7 @@ def _closed_balls(g, radius):
     return balls
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     """Degree statistics: small/big split and neighbour-degree sums.
 
     A vertex is "big" when its degree strictly exceeds max_degree**(2/3),
@@ -193,8 +192,7 @@ def degree_stats(g):
     return stats
 
 
-@dataclass(frozen=True)
-class BackwardStats:
+class BackwardStats(NamedTuple):
     """Backward-neighbour counts relative to a fixed vertex ordering."""
 
     backward_r_count: tuple     # per vertex: |backward r-neighbours|

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import all_r_neighbourhoods, backward_stats, ball, degree_stats
 
@@ -32,15 +32,14 @@ MIN_DEGREE = 2
 #   "backward_span"  cap on backward r-neighbour count (high group only)
 
 
-@dataclass
-class OrderingCertificate:
+class OrderingCertificate(NamedTuple):
     weights: dict                  # vertex -> float in [0, 1)
     ordering: list                 # permutation, ascending by (weight, id)
     split_threshold: float         # weights below it form the low group
     checks: dict                   # vertex -> {key: bool or None}
     resample_rounds: int
     seed: int
-    valid: bool = True
+    valid: bool
 
 
 def split_threshold(max_degree):
@@ -61,7 +60,8 @@ def checkable_vertices(g, stats):
     if g.max_degree < MIN_DEGREE:
         return []
     cutoff = g.max_degree ** (1.0 / 3.0) * math.log(g.max_degree)
-    return [v for v in g.vertices() if stats.big_nbr_count[v] >= cutoff]
+    big_nbr_count = stats.big_nbr_count
+    return [v for v in g.vertices() if big_nbr_count[v] >= cutoff]
 
 
 def condition_counts(g, weights, radius):
@@ -77,10 +77,9 @@ def condition_counts(g, weights, radius):
         raise ValueError("ordering conditions need radius >= 2")
     tau = split_threshold(g.max_degree)
     balls = all_r_neighbourhoods(g, radius)
-    bstats = backward_stats(g, derive_ordering(g, weights), balls)
+    back_r, back_big = backward_stats(g, derive_ordering(g, weights), balls)
     low = sum(1 << v for v in g.vertices() if weights[v] < tau)     # distinct bits
-    return {v: ((low & balls[v]).bit_count(), bstats.backward_big_count[v],
-                bstats.backward_r_count[v])
+    return {v: ((low & balls[v]).bit_count(), back_big[v], back_r[v])
             for v in checkable_vertices(g, degree_stats(g))}
 
 
@@ -99,7 +98,7 @@ def check_conditions(g, weights, radius):
     delta = g.max_degree
     logd = math.log(delta)
     tau = split_threshold(delta)
-    stats = degree_stats(g)
+    _, big_nbr_count, nbr_degree_sum = degree_stats(g)
 
     results = {}
     for v, (low_count, big_back, back_r) in counts.items():
@@ -110,10 +109,10 @@ def check_conditions(g, weights, radius):
             "backward_span": None,
         }
         if wv >= tau:
-            bcount = stats.big_nbr_count[v]
+            bcount = big_nbr_count[v]
             res["big_backward"] = (
                 big_back >= wv * bcount - math.sqrt(wv * bcount) * logd)
-            mean = wv * stats.nbr_degree_sum[v] * delta ** (radius - 2)
+            mean = wv * nbr_degree_sum[v] * delta ** (radius - 2)
             res["backward_span"] = back_r <= mean + math.sqrt(mean) * logd
         results[v] = res
     return results

@@ -16,18 +16,22 @@ radius r >= 2:
 
 Only the standard library is used and every value is a plain Python
 integer, so there is neither overflow nor a precision limit: any D and r
-get an exact answer.
+get an exact answer, or a refusal past MAX_INTERVALS edge-palette blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context
+from typing import NamedTuple
 
 
 class PaletteError(ValueError):
     """Invalid palette parameters."""
+
+
+# Edge-palette blocks allowed: r = 2 needs about D**(1/3) / ln(D)**2, r >= 3 one.
+MAX_INTERVALS = 10 ** 5
 
 
 def _icbrt(n):
@@ -75,8 +79,7 @@ def _step_value(max_degree, radius):
         digits *= 2
 
 
-@dataclass(frozen=True)
-class PaletteParams:
+class PaletteParams(NamedTuple):
     """Palette parameters for one (max_degree, radius) pair.
 
     ``intervals`` stores the edge palette as inclusive (lo, hi) ranges so the
@@ -110,7 +113,8 @@ def _check_domain(max_degree, radius):
 
 
 def compute_params(max_degree, radius):
-    """Build the palette parameters for a max degree >= 2 and radius >= 2."""
+    """Build the palette parameters for a max degree >= 2 and radius >= 2;
+    PaletteError outside that domain or past MAX_INTERVALS edge-palette blocks."""
     _check_domain(max_degree, radius)
     step = _step_value(max_degree, radius)
     bound = max_degree ** (radius - 1) + 6 * max_degree + step
@@ -123,6 +127,8 @@ def compute_params(max_degree, radius):
     # [modulus + 1, modulus + 4*max_degree + 1].
     count = max_degree + 1
     nblocks = -(-count // step)
+    if nblocks > MAX_INTERVALS:
+        raise PaletteError(f"edge palette needs {nblocks} intervals, over {MAX_INTERVALS}")
     intervals = []
     for block in range(1, nblocks):
         lo = modulus + (block - 1) * 4 * step + 1

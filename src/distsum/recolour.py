@@ -44,7 +44,7 @@ the offsets the steps read plus the rest of the ring each walk stopped in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .base_colouring import base_total_colouring
 from .colouring import TotalColouring
@@ -53,8 +53,7 @@ from .ordering import failing_vertices, resample_until_valid
 from .palette import compute_params, headline_bound, shifted_set
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     vertex: int
     base_colour: int                # vertex colour set at this step
     target_sum: int
@@ -65,13 +64,12 @@ class StepRecord:
     backward_r_count: int           # processed r-neighbours of vertex
 
 
-@dataclass
-class RunTrace:
-    steps: list = field(default_factory=list)
-    fallback_count: int = 0         # always 0; kept for the `fallbacks` fields
-    invariant_violations: list = field(default_factory=list)
-    base_edge_colours: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+class RunTrace(NamedTuple):
+    steps: list
+    invariant_violations: list
+    base_edge_colours: dict
+    notes: list
+    fallback_count = 0              # not a field: no step falls back (`fallbacks` fields)
 
 
 class RunError(RuntimeError):
@@ -82,19 +80,21 @@ class _Run:
     def __init__(self, g, radius, params, check_invariants=False):
         self.g = g
         self.params = params
+        self.step, self.modulus = params.step, params.modulus
         self.check_invariants = check_invariants
         self.stats = degree_stats(g)
         self.balls = all_r_neighbourhoods(g, radius)
 
         self.colouring = base_total_colouring(g, params)
-        self.alterations = dict.fromkeys(self.colouring.edge_colours, 0)
+        self.vcol, self.ecol = self.colouring.vertex_colours, self.colouring.edge_colours
+        self.alterations = dict.fromkeys(self.ecol, 0)
         self.anchor = {}
         self.target = {}
         self.owners = {}            # target sum -> bitmask of its processed holders
         self.shift = {}             # processed u -> shift of its next backward edge
         self.processed_mask = 0     # the processed vertices as a bitmask
         self.rings = {}             # four group sizes -> the rings built, end to end
-        self.trace = RunTrace(base_edge_colours=dict(self.colouring.edge_colours))
+        self.trace = RunTrace([], [], dict(self.ecol), [])
 
     def _incident_edges(self, v):
         """One pass over v's edges, in ascending neighbour order, fixing each
@@ -104,10 +104,10 @@ class _Run:
         +-modulus and +-step, the residues a base colour of v must avoid, and
         v's edge sum.
         """
-        step, modulus = self.params.step, self.params.modulus
+        step, modulus = self.step, self.modulus
         big_set = self.stats.big_set
         v_big = v in big_set
-        ecol = self.colouring.edge_colours
+        ecol = self.ecol
         shift_of, anchor = self.shift, self.anchor
         # v's colour ends up at base or base + step modulo the modulus, so a
         # base b is forbidden when b or b + step meets a processed neighbour's
@@ -150,7 +150,7 @@ class _Run:
         holds; return that offset, or None once the lattice is whole.  Ring d
         is the offsets (i * modulus + j * step, i, j) with |i| + |j| = d and
         (i, j) in [-big_neg, big_pos] x [-small_neg, small_pos], sorted."""
-        modulus, step = self.params.modulus, self.params.step
+        modulus, step = self.modulus, self.step
         holders = self.owners.get
         big_neg, big_pos, small_neg, small_pos = sizes
         # offsets ends with a whole ring, so the next ring is one further out
@@ -173,8 +173,7 @@ class _Run:
     # -- one step ------------------------------------------------------
 
     def process_vertex(self, v):
-        g, params = self.g, self.params
-        step, modulus = params.step, params.modulus
+        g, step, modulus = self.g, self.step, self.modulus
 
         groups, forbidden, edge_sum = self._incident_edges(v)
         sizes = (len(groups[-modulus]), len(groups[modulus]),
@@ -214,15 +213,15 @@ class _Run:
         for count, unit in ((need_big, modulus), (need_small, step)):
             delta = unit if count >= 0 else -unit
             for key, u in groups[delta][:abs(count)]:
-                self.colouring.edge_colours[key] += delta
+                self.ecol[key] += delta
                 self.alterations[key] += 1
                 edge_deltas.append((key, delta))
                 if u in self.shift:
-                    self.colouring.vertex_colours[u] -= delta
+                    self.vcol[u] -= delta
                     self.shift[u] = -delta
                     compensations.append((u, -delta))
 
-        self.colouring.vertex_colours[v] = base
+        self.vcol[v] = base
         self.anchor[v] = base
         self.target[v] = target
         self.owners[target] = holders(target, 0) | 1 << v
@@ -243,8 +242,8 @@ class _Run:
         incident edges.  A step changes only v, its edges and the
         neighbours it compensates, so {v} | N(v) covers it."""
         bad = self.trace.invariant_violations.append
-        step, modulus = self.params.step, self.params.modulus
-        vcol, ecol = self.colouring.vertex_colours, self.colouring.edge_colours
+        step, modulus = self.step, self.modulus
+        vcol, ecol = self.vcol, self.ecol
         base_edge = self.trace.base_edge_colours
         processed = self.shift
         for u in vertices:

@@ -22,10 +22,10 @@ map; only a colouring that has one is scanned element by element.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import or_
+from typing import NamedTuple
 
 from .graphs import edge_key
 
@@ -34,10 +34,9 @@ class IncompleteColouringError(ValueError):
     """A vertex or edge has no colour, or a colour names one the graph lacks."""
 
 
-@dataclass
-class VerificationReport:
-    max_colour: int = 0
-    violations: list = field(default_factory=list)
+class VerificationReport(NamedTuple):
+    max_colour: int
+    violations: list
 
     @property
     def passed(self):
@@ -77,8 +76,8 @@ def verify(g, colouring, radius, bound=None):
             foreign = min(given.keys() - own)
             raise IncompleteColouringError(f"{name} {foreign} is not in the graph")
 
-    report = VerificationReport()
-    note = report.violations.append
+    violations = []
+    note = violations.append
 
     for (u, v) in g.edges:
         if vcol[u] == vcol[v]:
@@ -121,7 +120,7 @@ def verify(g, colouring, radius, bound=None):
             if ecol[key] < 1:
                 note(("colour-below-one", key))
 
-    report.max_colour = colouring.max_colour()
-    if bound is not None and report.max_colour > bound:
-        note(("bound-exceeded", (report.max_colour, bound)))
-    return report
+    max_colour = colouring.max_colour()
+    if bound is not None and max_colour > bound:
+        note(("bound-exceeded", (max_colour, bound)))
+    return VerificationReport(max_colour, violations)

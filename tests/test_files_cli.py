@@ -47,7 +47,9 @@ def test_parse_graph_p3_with_comment():
     (["p 2 2", "e 1 2", "# c", "e 2 1"], r"^line 4: duplicate edge \(1, 2\)$"),
     (["p 3 1", "", "e 2 2"], "^line 3: self-loop at vertex 2$"),
     (["p 2 1", "# c", "e 0 1"], r"^line 3: endpoint out of range in \(0, 1\)$"),
-    (["p -1 0"], "^vertex count must be non-negative, got -1$"),
+    # and so do header refusals, with the header's line
+    (["p -1 0"], "^line 1: vertex count must be non-negative, got -1$"),
+    (["# c", "p 2 2", "e 1 2"], "^line 2: header declares 2 edges, found 1$"),
 ])
 def test_parse_graph_errors(lines, msg):
     with pytest.raises(FormatError, match=msg):
@@ -336,6 +338,15 @@ def test_refused_run_exit_code_and_row(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error: vertex ")
     rows = run_experiment([("cycle", ["7"], 2, 1)])
     assert rows[1][-1] == "error:RunError"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    code = ("import sys; before = set(sys.modules); import distsum.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_closed_stdout_exits_quietly():

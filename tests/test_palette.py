@@ -72,6 +72,32 @@ def test_two_intervals_huge_degree():
     assert p.intervals[0][1] - p.intervals[0][0] + 1 == p.step
 
 
+def test_interval_limit_refuses_huge_degree():
+    # about D**(1/3) / ln(D)**2 blocks at r = 2: 4.2 million at D = 10**31
+    start = time.perf_counter()
+    with pytest.raises(PaletteError, match="^edge palette needs 4228425 intervals, "):
+        compute_params(10 ** 31, 2)
+    assert time.perf_counter() - start < 0.5
+    assert len(compute_params(10 ** 31, 3).intervals) == 1
+
+
+def test_interval_limit_boundary(monkeypatch):
+    # 10**12 at r = 2 takes 14 blocks
+    monkeypatch.setattr(palette, "MAX_INTERVALS", 14)
+    assert len(compute_params(10 ** 12, 2).intervals) == 14
+    monkeypatch.setattr(palette, "MAX_INTERVALS", 13)
+    with pytest.raises(PaletteError, match="^edge palette needs 14 intervals, over 13$"):
+        compute_params(10 ** 12, 2)
+
+
+def test_palette_cli_refuses_interval_limit(capsys):
+    out = io.StringIO()
+    assert main(["palette", "--delta", str(10 ** 31), "--r", "2"], out=out) == 2
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: edge palette needs ")
+
+
 def test_element_lookup():
     p = compute_params(2, 2)
     # step 1, modulus 15: three singleton blocks

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import astuple
 from itertools import product
 from pathlib import Path
 
@@ -342,7 +341,7 @@ def _run_digest(g, radius, seed):
     lines = [f"v {v} {col.vertex_colours[v]}" for v in g.vertices()]
     lines += [f"e {u} {v} {col.edge_colours[(u, v)]}" for u, v in g.edges]
     lines.append("order " + " ".join(map(str, cert.ordering)))
-    lines += [repr(astuple(rec)) for rec in trace.steps]
+    lines += [repr(tuple(rec)) for rec in trace.steps]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
