@@ -116,9 +116,10 @@ def parse_colouring_lines(lines):
             raise FormatError(f"line {lineno}: unknown record {tag!r}")
         if len(fields) != size:
             raise FormatError(f"line {lineno}: {tag!r} record needs {size} fields")
-        if tag == "w":
-            continue
         try:
+            if tag == "w":
+                int(fields[1]), int(fields[2])     # checked, then dropped
+                continue
             if tag == "v":
                 table, key, colour = vcol, int(fields[1]), int(fields[2])
             else:

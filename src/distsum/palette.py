@@ -186,6 +186,8 @@ def headline_bound(max_degree, radius):
     D >= 2, r >= 2 or past the float range."""
     _check_domain(max_degree, radius)
     try:
+        if (max_degree.bit_length() - 1) * (radius - 1) >= 1024:
+            raise OverflowError     # D^(r-1) >= 2^1024: no exact power needed
         value = (2.0 * max_degree ** (radius - 1)
                  + 5.0 * max_degree ** (radius - 4.0 / 3.0) * math.log(max_degree) ** 2
                  + 16.0 * max_degree + 6.0)

@@ -37,9 +37,12 @@ the modulus.
 
 Each step tries the lattice offsets nearest first, by L1 distance |i| + |j|
 then shift: ring by ring, each sorted on its own, out from ring 0, (0, 0).
-A ring is built the first time a step reads it and kept for the later steps
-with the same four group sizes (edges by signed shift): the rings kept hold
-the offsets the steps read plus the rest of the ring each walk stopped in.
+The steps with the same four group sizes (edges by signed shift) share one
+list of rings, which starts as ring 0.  A walk tests the list's offsets in
+order and, on finding the last one built taken, appends the next ring, so
+the list grows while it is walked until the lattice is whole.  The rings
+kept hold the offsets the steps read plus the rest of the ring each walk
+stopped in.
 """
 
 from __future__ import annotations
@@ -144,31 +147,24 @@ class _Run:
                                   (rho + 2 * step) % modulus))
         return groups, forbidden, edge_sum
 
-    def _grow(self, w0, ball, sizes, offsets):
-        """Extend offsets, the lattice rings built so far, ring by ring until
-        one holds an offset whose sum w0 + shift no processed vertex of ball
-        holds; return that offset, or None once the lattice is whole.  Ring d
-        is the offsets (i * modulus + j * step, i, j) with |i| + |j| = d and
-        (i, j) in [-big_neg, big_pos] x [-small_neg, small_pos], sorted."""
+    def _grow(self, sizes, offsets):
+        """Append to offsets, the lattice rings built so far, the next ring
+        out, sorted; append nothing once the lattice is whole.  Ring d is the
+        offsets (i * modulus + j * step, i, j) with |i| + |j| = d and (i, j)
+        in [-big_neg, big_pos] x [-small_neg, small_pos]."""
         modulus, step = self.modulus, self.step
-        holders = self.owners.get
         big_neg, big_pos, small_neg, small_pos = sizes
         # offsets ends with a whole ring, so the next ring is one further out
-        start = abs(offsets[-1][1]) + abs(offsets[-1][2]) + 1 if offsets else 0
-        for d in range(start, max(big_neg, big_pos) + max(small_neg, small_pos) + 1):
-            ring = []
-            for i in range(max(-big_neg, -d), min(big_pos, d) + 1):
-                j = d - abs(i)
-                if j <= small_pos:
-                    ring.append((i * modulus + j * step, i, j))
-                if 0 < j <= small_neg:
-                    ring.append((i * modulus - j * step, i, -j))
-            ring.sort()
-            offsets += ring
-            for offset in ring:
-                if not holders(w0 + offset[0], 0) & ball:
-                    return offset
-        return None
+        d = abs(offsets[-1][1]) + abs(offsets[-1][2]) + 1
+        ring = []
+        for i in range(max(-big_neg, -d), min(big_pos, d) + 1):
+            j = d - abs(i)
+            if j <= small_pos:
+                ring.append((i * modulus + j * step, i, j))
+            if 0 < j <= small_neg:
+                ring.append((i * modulus - j * step, i, -j))
+        ring.sort()
+        offsets += ring
 
     # -- one step ------------------------------------------------------
 
@@ -183,8 +179,9 @@ class _Run:
         backward_r_count = (self.processed_mask & ball).bit_count()
         admissible_count = modulus - len(forbidden)
 
-        # nearest first: the rings built so far, then those grown past them
-        offsets = self.rings.setdefault(sizes, [])
+        # nearest first: the walk reads the rings built so far and grows the
+        # next one each time it reaches the last offset built
+        offsets = self.rings.setdefault(sizes, [(0, 0, 0)])
         holders = self.owners.get
         for base in range(1, modulus + 1):
             if base % modulus in forbidden:
@@ -193,12 +190,10 @@ class _Run:
             for offset in offsets:
                 if not holders(w0 + offset[0], 0) & ball:
                     break
+                if offset is offsets[-1]:
+                    self._grow(sizes, offsets)
             else:
-                if len(offsets) == lattice_size:
-                    continue            # every offset's sum is taken
-                offset = self._grow(w0, ball, sizes, offsets)
-                if offset is None:
-                    continue
+                continue                # every offset's sum is taken
             break
         else:
             raise RunError(

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from distsum import TotalColouring, cli, files, generate, verify
+from distsum import TotalColouring, cli, exact, files, generate, verify
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
 
@@ -63,10 +63,11 @@ def test_parse_graph_errors(lines, msg):
     (["w 1 2 3"], "line 1: 'w' record needs 3 fields"),
     (["# c", "v 1 x"], "line 2: non-integer field"),
     (["E 1 two 3"], "line 1: non-integer field"),
+    (["w 1 x"], "line 1: non-integer field"),
     (["v 1 3", "v 2 4", "v 1 3"], "line 3: duplicate 'v' record for 1"),
     (["E 1 2 5", "E 2 1 6"], r"line 2: duplicate 'E' record for \(1, 2\)"),
 ], ids=["unknown-tag", "short-v", "short-E", "long-w", "non-integer-v",
-        "non-integer-E", "duplicate-v", "duplicate-E"])
+        "non-integer-E", "non-integer-w", "duplicate-v", "duplicate-E"])
 def test_parse_colouring_errors(lines, msg):
     with pytest.raises(FormatError, match=msg):
         parse_colouring_lines(lines)
@@ -289,9 +290,11 @@ def test_exact_subcommand_past_limit(tmp_path):
     assert (code, text) == (0, "exact result=exceeds-limit limit=2\n")
 
 
-def test_exact_subcommand_budget_refusal(tmp_path, capsys):
+def test_exact_subcommand_budget_refusal(monkeypatch, tmp_path, capsys):
     # K7 at r = 1 has no answer below the trial budget: a refusal, not an
-    # hours-long search.
+    # hours-long search.  A smaller budget keeps the test quick; the CI's
+    # console-script step runs K7 against the real one.
+    monkeypatch.setattr(exact, "TRIAL_BUDGET", 10**4)
     gpath = tmp_path / "g.txt"
     run_cli(["gen", "complete", "7", "--output", str(gpath)])
     code, text = run_cli(["exact", "--input", str(gpath), "--r", "1",

@@ -265,6 +265,14 @@ def test_headline_bound_past_float_range(delta, r):
         headline_bound(delta, r)
 
 
+def test_headline_bound_refuses_huge_radius_fast():
+    # 1000^(10^7 - 1) as an exact integer alone takes most of a minute
+    start = time.perf_counter()
+    with pytest.raises(PaletteError, match="overflows a float at r=10000000$"):
+        headline_bound(1000, 10**7)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_palette_cli_refuses_bound_past_float_range(capsys):
     out = io.StringIO()
     assert main(["palette", "--delta", "1000", "--r", "104"], out=out) == 2

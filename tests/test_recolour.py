@@ -386,17 +386,6 @@ def _sorted_lattice(runner, big_neg, big_pos, small_neg, small_pos):
                   for j in range(-small_neg, small_pos + 1))
 
 
-class _TakenBut:
-    """Stands in for _Run.owners: every sum but the given ones has a holder,
-    vertex 0, so with ball 1 only those sums are free."""
-
-    def __init__(self, *free):
-        self.free = free
-
-    def get(self, w, default):
-        return default if w in self.free else 1
-
-
 @pytest.mark.parametrize("degree, radius", [(150, 2), (20, 3), (6, 2)])
 def test_ring_walk_is_the_sorted_lattice(degree, radius):
     # modulus / step is 3, 2 and 5 here, so shifts tie inside a ring
@@ -405,26 +394,14 @@ def test_ring_walk_is_the_sorted_lattice(degree, radius):
     shapes = list(product(range(5), repeat=4))
     shapes += [tuple(rng.randint(0, 40) for _ in range(4)) for _ in range(40)]
     for sizes in shapes:
-        order = [offset[1:] for offset in _sorted_lattice(runner, *sizes)]
-        # every sum taken: the walk grows the whole lattice, in order
-        runner.owners = _TakenBut()
-        offsets = []
-        assert runner._grow(0, 1, sizes, offsets) is None
-        assert offsets == order, sizes
-        # one sum free: the walk stops at its first offset in that order,
-        # keeping the rings up to that offset's own
-        shift = rng.choice(order)[0]
-        first = next(k for k, offset in enumerate(order) if offset[0] == shift)
-        distance = abs(order[first][1]) + abs(order[first][2])
-        kept = sum(1 for _, i, j in order if abs(i) + abs(j) <= distance)
-        runner.owners = _TakenBut(shift)
-        offsets = []
-        assert runner._grow(0, 1, sizes, offsets) == order[first], sizes
-        assert offsets == order[:kept], sizes
-        # a later walk goes on from the rings kept
-        runner.owners = _TakenBut()
-        assert runner._grow(0, 1, sizes, offsets) is None
-        assert offsets == order, sizes
+        lattice = _sorted_lattice(runner, *sizes)
+        # from ring 0, each call appends the next ring, in order; once the
+        # lattice is whole, a call appends nothing
+        offsets = [(0, 0, 0)]
+        for d in range(1, lattice[-1][0] + 2):
+            runner._grow(sizes, offsets)
+            assert offsets == [x[1:] for x in lattice if x[0] <= d], sizes
+        assert offsets == [x[1:] for x in lattice], sizes
 
 
 _ALL_EVENTS = {"ring reused", "ring grown", "whole lattice taken"}
@@ -450,23 +427,19 @@ def test_ring_walk_matches_a_plain_sort(monkeypatch, make, radius, seen):
             events.add("ring reused")
         return groups, forbidden, edge_sum
 
-    def spied_grow(runner, w0, ball, sizes, offsets):
+    def spied_grow(runner, sizes, offsets):
         before = len(offsets)
-        offset = grow(runner, w0, ball, sizes, offsets)
-        order = [x[1:] for x in _sorted_lattice(runner, *sizes)]
-        assert offsets == order[:len(offsets)]
-        if len(offsets) > before:
-            events.add("ring grown")
-        if offset is None:
-            assert offsets == order
-            events.add("whole lattice taken")
-        return offset
+        grow(runner, sizes, offsets)
+        # the rings kept so far plus exactly the next one, whole
+        d = abs(offsets[before - 1][1]) + abs(offsets[before - 1][2]) + 1
+        assert offsets == [x[1:] for x in _sorted_lattice(runner, *sizes) if x[0] <= d]
+        # the walk reached the last offset built and found its sum taken
+        events.add("ring grown" if len(offsets) > before else "whole lattice taken")
 
-    def plain_sort(runner, w0, ball, sizes, offsets):
-        # called once per group sizes: a step walks a whole lattice inline
-        offsets += [x[1:] for x in _sorted_lattice(runner, *sizes)]
-        return next((offset for offset in offsets
-                     if not runner.owners.get(w0 + offset[0], 0) & ball), None)
+    def plain_sort(runner, sizes, offsets):
+        # the whole lattice at once: the first call comes with the walk at
+        # ring 0's one offset, so the walk reads on through the lattice
+        offsets[:] = [x[1:] for x in _sorted_lattice(runner, *sizes)]
 
     monkeypatch.setattr(_Run, "_incident_edges", spied_incident)
     monkeypatch.setattr(_Run, "_grow", spied_grow)
