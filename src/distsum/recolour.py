@@ -156,6 +156,8 @@ class _Run:
         big_neg, big_pos, small_neg, small_pos = sizes
         # offsets ends with a whole ring, so the next ring is one further out
         d = abs(offsets[-1][1]) + abs(offsets[-1][2]) + 1
+        if d > max(big_neg, big_pos) + max(small_neg, small_pos):
+            return
         ring = []
         for i in range(max(-big_neg, -d), min(big_pos, d) + 1):
             j = d - abs(i)

@@ -401,7 +401,6 @@ def test_ring_walk_is_the_sorted_lattice(degree, radius):
         for d in range(1, lattice[-1][0] + 2):
             runner._grow(sizes, offsets)
             assert offsets == [x[1:] for x in lattice if x[0] <= d], sizes
-        assert offsets == [x[1:] for x in lattice], sizes
 
 
 _ALL_EVENTS = {"ring reused", "ring grown", "whole lattice taken"}
@@ -415,8 +414,9 @@ _ALL_EVENTS = {"ring reused", "ring grown", "whole lattice taken"}
 ])
 def test_ring_walk_matches_a_plain_sort(monkeypatch, make, radius, seen):
     g = make()
-    incident, grow = _Run._incident_edges, _Run._grow
+    incident, grow, process = _Run._incident_edges, _Run._grow, _Run.process_vertex
     events = set()
+    incident_seen = []
 
     def spied_incident(runner, v):
         groups, forbidden, edge_sum = incident(runner, v)
@@ -425,7 +425,27 @@ def test_ring_walk_matches_a_plain_sort(monkeypatch, make, radius, seen):
                  len(groups[-step]), len(groups[step]))
         if runner.rings.get(sizes):
             events.add("ring reused")
+        incident_seen.append((sizes, forbidden, edge_sum, len(runner.rings.get(sizes, ()))))
         return groups, forbidden, edge_sum
+
+    def spied_step(runner, v):
+        rec = process(runner, v)
+        sizes, forbidden, edge_sum, before = incident_seen[-1]
+        order = [x[1:] for x in _sorted_lattice(runner, *sizes)]
+        modulus = runner.params.modulus
+        first_base = next(b for b in range(1, modulus + 1) if b % modulus not in forbidden)
+        if rec.base_colour == first_base:
+            # the walk stopped at the first offset in order with the target's
+            # shift, having built the rings up to that offset's own
+            shift = rec.target_sum - rec.base_colour - edge_sum
+            d = next(abs(i) + abs(j) for s, i, j in order if s == shift)
+            reached = sum(1 for _, i, j in order if abs(i) + abs(j) <= d)
+        else:
+            # an earlier admissible base found every sum taken
+            reached = len(order)
+        # the rings kept: what earlier steps built, or up to where this one read
+        assert len(runner.rings[sizes]) == max(before, reached), v
+        return rec
 
     def spied_grow(runner, sizes, offsets):
         before = len(offsets)
@@ -443,8 +463,10 @@ def test_ring_walk_matches_a_plain_sort(monkeypatch, make, radius, seen):
 
     monkeypatch.setattr(_Run, "_incident_edges", spied_incident)
     monkeypatch.setattr(_Run, "_grow", spied_grow)
+    monkeypatch.setattr(_Run, "process_vertex", spied_step)
     walked = run(g, radius, 1)
     monkeypatch.setattr(_Run, "_incident_edges", incident)
+    monkeypatch.setattr(_Run, "process_vertex", process)
     monkeypatch.setattr(_Run, "_grow", plain_sort)
     assert run(g, radius, 1) == walked
     assert events == seen
