@@ -22,6 +22,7 @@ import random
 from typing import NamedTuple
 
 from .graphs import all_r_neighbourhoods, backward_stats, ball, degree_stats
+from .palette import headline_bound
 
 DEFAULT_MAX_ROUNDS = 1000
 MIN_DEGREE = 2
@@ -71,10 +72,12 @@ def condition_counts(g, weights, radius):
     against the ordering induced by the weights.  The low count is the bit
     count of v's r-ball ANDed with the low group's bitmask, so it counts
     the whole r-neighbourhood, not only its backward part; the backward
-    counts come from backward_stats.
+    counts come from backward_stats.  A radius past the float range is
+    refused (PaletteError) before any table is built.
     """
     if radius < 2:
         raise ValueError("ordering conditions need radius >= 2")
+    headline_bound(max(g.max_degree, MIN_DEGREE), radius)
     tau = split_threshold(g.max_degree)
     balls = all_r_neighbourhoods(g, radius)
     back_r, back_big = backward_stats(g, derive_ordering(g, weights), balls)
@@ -127,14 +130,19 @@ def failing_vertices(checks):
 def resample_until_valid(g, radius, seed):
     """Sample weights and locally resample until all conditions hold.
 
-    Each round redraws the weights of every vertex within distance
-    2 * radius of a failing vertex, then re-evaluates every condition.  A
-    condition reads only weights within distance radius of its vertex, so
-    only those near a redraw can change; condition_counts recounts the whole
-    graph either way.  At most DEFAULT_MAX_ROUNDS rounds are run.  A single
-    seeded generator drives all draws, so the certificate is a pure function
-    of (graph, radius, seed).
+    Radius 1 runs as radius 2.  A radius below 1 is refused (ValueError)
+    before any weight is drawn, and one past the float range (PaletteError)
+    before any table is built.  Each round redraws the weights of every
+    vertex within distance 2 * radius of a failing vertex, then re-evaluates
+    every condition.  A condition reads only weights within distance radius
+    of its vertex, so only those near a redraw can change; condition_counts
+    recounts the whole graph either way.  At most DEFAULT_MAX_ROUNDS rounds
+    are run.  A single seeded generator drives all draws, so the certificate
+    is a pure function of (graph, radius, seed).
     """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    radius = max(radius, 2)
     rng = random.Random(seed)
     weights = {v: rng.random() for v in g.vertices()}
     checks = check_conditions(g, weights, radius)

@@ -16,7 +16,9 @@ radius r >= 2:
 
 Only the standard library is used and every value is a plain Python
 integer, so there is neither overflow nor a precision limit: any D and r
-get an exact answer, or a refusal past MAX_INTERVALS edge-palette blocks.
+get an exact answer, a refusal past MAX_INTERVALS edge-palette blocks, or,
+where the headline bound is past the float range, a refusal before any
+exact power.
 """
 
 from __future__ import annotations
@@ -105,17 +107,11 @@ class PaletteParams(NamedTuple):
             yield from range(lo, hi + 1)
 
 
-def _check_domain(max_degree, radius):
-    if max_degree < 2:
-        raise PaletteError(f"max_degree must be >= 2, got {max_degree}")
-    if radius < 2:
-        raise PaletteError(f"radius must be >= 2, got {radius}")
-
-
 def compute_params(max_degree, radius):
     """Build the palette parameters for a max degree >= 2 and radius >= 2;
-    PaletteError outside that domain or past MAX_INTERVALS edge-palette blocks."""
-    _check_domain(max_degree, radius)
+    PaletteError outside that domain or past the float range (both checked
+    first, by headline_bound) or past MAX_INTERVALS edge-palette blocks."""
+    headline_bound(max_degree, radius)
     step = _step_value(max_degree, radius)
     bound = max_degree ** (radius - 1) + 6 * max_degree + step
     modulus = -(-bound // step) * step
@@ -184,7 +180,10 @@ def headline_bound(max_degree, radius):
     """Real-valued palette bound the construction targets asymptotically:
     2*D^(r-1) + 5*D^(r-4/3)*ln(D)^2 + 16*D + 6; PaletteError outside
     D >= 2, r >= 2 or past the float range."""
-    _check_domain(max_degree, radius)
+    if max_degree < 2:
+        raise PaletteError(f"max_degree must be >= 2, got {max_degree}")
+    if radius < 2:
+        raise PaletteError(f"radius must be >= 2, got {radius}")
     try:
         if (max_degree.bit_length() - 1) * (radius - 1) >= 1024:
             raise OverflowError     # D^(r-1) >= 2^1024: no exact power needed

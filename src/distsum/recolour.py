@@ -28,9 +28,10 @@ r-neighbours.  Offset (0, 0) alone gives one distinct sum per admissible
 base and the other offsets add more; under the certified ordering the
 paper's analysis puts the options (admissible bases times lattice offsets)
 above the backward r-neighbour count.  Each step record keeps those three
-counts, so the margin can be read off; the backward count is the number of
-processed r-neighbours, the bit count of v's r-ball ANDed with the
-processed vertices.  A candidate sum w is taken when its owners, the
+counts; the backward count is the number of processed r-neighbours, the bit
+count of v's r-ball ANDed with the processed vertices.  The options overcount
+the distinct sums, since different bases and offsets can give one sum, so
+the margin read off the records is an upper bound.  A candidate sum w is taken when its owners, the
 bitmask of processed vertices holding w, meet v's r-ball.  A step that
 still finds no free sum raises RunError rather than lift a base colour past
 the modulus.
@@ -53,7 +54,7 @@ from .base_colouring import base_total_colouring
 from .colouring import TotalColouring
 from .graphs import all_r_neighbourhoods, degree_stats, edge_key
 from .ordering import failing_vertices, resample_until_valid
-from .palette import compute_params, headline_bound, shifted_set
+from .palette import compute_params, shifted_set
 
 
 class StepRecord(NamedTuple):
@@ -281,8 +282,9 @@ def run(g, radius, seed, check_invariants=False):
     """Full pipeline: parameters, base edge colouring, ordering, recolouring.
 
     Returns (TotalColouring, RunTrace, OrderingCertificate); raises RunError
-    when a step finds no free target sum, and PaletteError when the headline
-    bound at (max(max degree, 2), max(radius, 2)) overflows a float.  With
+    when a step finds no free target sum, ValueError below radius 1, and
+    PaletteError, before any exact arithmetic, when the headline bound at
+    (max(max degree, 2), max(radius, 2)) overflows a float.  With
     check_invariants, each step is checked at its vertex and neighbours, and
     every vertex once after the last step; broken invariants go to
     trace.invariant_violations.  Radius 1 is accepted; the palette arithmetic
@@ -292,15 +294,10 @@ def run(g, radius, seed, check_invariants=False):
     rounds", and the run goes on with its ordering.  Identical (graph,
     radius, seed) inputs give identical outputs.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-
     eff_degree = max(g.max_degree, 2)
     eff_radius = max(radius, 2)
-    # the float bound refuses a huge (delta, r) before the exact arithmetic
-    headline_bound(eff_degree, eff_radius)
     params = compute_params(eff_degree, eff_radius)
-    cert = resample_until_valid(g, eff_radius, seed)
+    cert = resample_until_valid(g, radius, seed)
 
     runner = _Run(g, radius, params, check_invariants)
     if radius != eff_radius:

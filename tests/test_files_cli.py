@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import re
@@ -242,6 +243,26 @@ def test_order_lifts_radius_one_to_two(tmp_path):
     assert code == 0 and text.startswith("cert seed=4 r=2 ")
 
 
+@pytest.mark.parametrize("spec,radius,seed,head,digest", [
+    ("regular-ish 130 36 --seed 1", 1, 4, "cert seed=4 r=2 rounds=0 ",
+     "73833090e060c6aba1e1e5083cd8a2635eb21d8133d4cff5fac605052745807e"),
+    ("regular-ish 130 36 --seed 1", 2, 4, "cert seed=4 r=2 rounds=0 ",
+     "73833090e060c6aba1e1e5083cd8a2635eb21d8133d4cff5fac605052745807e"),
+    ("regular-ish 130 36 --seed 1", 3, 4, "cert seed=4 r=3 rounds=0 ",
+     "88bae4ff24067e548b5d574ce694af9eee3846883c4cbdad3934149ca1be46f9"),
+    ("path 600", 10, 1, "cert seed=1 r=10 rounds=15 ",
+     "08ae10e33e54dbf57a901cd67d09cf6d8b25cd6937883d0a88d173d6f009d9bc"),
+], ids=["dense-r1", "dense-r2", "dense-r3", "path-r10"])
+def test_order_output_pinned(tmp_path, spec, radius, seed, head, digest):
+    # the whole certificate: weights, rounds, threshold, ordering and checks
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", *spec.split(), "--output", str(gpath)])
+    code, text = run_cli(["order", "--input", str(gpath), "--r", str(radius),
+                          "--seed", str(seed)])
+    assert code == 0 and text.startswith(head)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("extra,msg", [
     ("v 99 100000", "error: vertex 99 is not in the graph"),
     ("E 1 3 7", r"error: edge \(1, 3\) is not in the graph"),
@@ -481,3 +502,14 @@ def test_gen_determinism():
     a = run_cli(["gen", "gnp", "40", "0.1", "--seed", "9"])
     b = run_cli(["gen", "gnp", "40", "0.1", "--seed", "9"])
     assert a == b
+
+
+def test_experiment_table_pinned(tmp_path):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("path 40 1 1\ncycle 31 2 2\ncomplete 9 3 3\nstar 12 2 4\n"
+                    "gnp 50 0.12 1 5\ngnp 60 0.1 3 6\nregular-ish 60 6 2 7\n"
+                    "regular-ish 130 36 2 1\n")
+    code, text = run_cli(["experiment", "--grid", str(grid)])
+    assert code == 0 and len(text.splitlines()) == 9
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ca864e2a672de53ab0710efc950bf974164367fc468c55fb2f2b1caaab3cac11")

@@ -1,13 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from distsum import build_graph, check_conditions, ordering, resample_until_valid
-from distsum.generate import star
+from distsum.generate import regular_ish, star
 from distsum.graphs import degree_stats
 from distsum.ordering import (checkable_vertices, condition_counts,
                               derive_ordering, failing_vertices,
                               split_threshold)
+from distsum.palette import PaletteError
 
 from conftest import ordering_counts_oracle, random_graph, sample_weights
 
@@ -139,3 +141,27 @@ def test_perfect_matching_valid_without_resampling():
     cert = resample_until_valid(g, 2, 1)
     assert cert.valid and cert.resample_rounds == 0 and cert.checks == {}
     assert cert.ordering == derive_ordering(g, cert.weights)
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda g: resample_until_valid(g, 700, 1),
+    lambda g: check_conditions(g, sample_weights(g, 1), 700),
+], ids=["resample", "check"])
+def test_radius_past_float_range_refused_before_tables(monkeypatch, refuse):
+    # 6^699 overflows a float in the condition bounds: an OverflowError,
+    # not a ValueError, unless the radius is refused first
+    def no_table(*args):
+        raise AssertionError("r-ball table built")
+    monkeypatch.setattr(ordering, "all_r_neighbourhoods", no_table)
+    with pytest.raises(PaletteError, match="headline bound overflows a float at r=700$"):
+        refuse(regular_ish(60, 6, 1))
+
+
+def test_resample_runs_radius_one_as_two(monkeypatch):
+    g = regular_ish(60, 6, 1)
+    assert resample_until_valid(g, 1, 3) == resample_until_valid(g, 2, 3)
+    def no_draws(seed):
+        raise AssertionError("weights drawn")
+    monkeypatch.setattr(ordering, "random", SimpleNamespace(Random=no_draws))
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        resample_until_valid(g, 0, 3)

@@ -297,3 +297,18 @@ def test_palette_cli_refuses_bound_before_exact_arithmetic(monkeypatch, capsys):
 def test_headline_bound_degree_100():
     # 2*100 + 5*100**(2/3)*ln(100)**2 + 16*100 + 6
     assert headline_bound(100, 2) == pytest.approx(4090.5, abs=1.0)
+
+
+@pytest.mark.parametrize("r", [104, 20000])
+def test_compute_params_refuses_bound_past_float_range(r):
+    # the check must come before any exact power: 1000^19999 alone takes
+    # over a minute
+    start = time.perf_counter()
+    with pytest.raises(PaletteError, match=f"headline bound overflows a float at r={r}$"):
+        compute_params(1000, r)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_compute_params_answers_at_palette_cli_boundary():
+    # r = 103 is the last radius the palette command answers at degree 1000
+    assert compute_params(1000, 103).modulus > 1000 ** 102
