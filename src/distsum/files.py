@@ -13,12 +13,26 @@ Colouring format:
     w <id> <weighted degree>
 
 Writers are deterministic, so identical data round-trips byte-exactly.
+
+`parse_graph` and `parse_colouring` read the writers' own form in bulk,
+block by block (_BLOCK_LINES lines at a time): one regular expression checks
+that every line of a block is a record as the writer prints it, and
+`str.split`, slicing and `map` take the block apart.  A file in any other
+form (comments, blank lines, tabs, reversed or unsorted edges, a repeated or
+malformed record) is read again from its start by `parse_graph_lines` /
+`parse_colouring_lines`.  Either way every valid file gives the same result
+and every malformed one the same error message, line number included.
 """
 
 from __future__ import annotations
 
+import re
+from collections import deque
+from itertools import islice
+from operator import lt
+
 from .colouring import TotalColouring
-from .graphs import GraphError, build_graph, edge_key
+from .graphs import GraphError, build_graph, edge_key, freeze_graph
 
 
 class FormatError(ValueError):
@@ -26,6 +40,16 @@ class FormatError(ValueError):
 
 
 _COLOURING_FIELDS = {"v": 3, "E": 4, "w": 3}  # record tag -> field count
+
+# The writers' own form, read in blocks.  A field has at most 640 digits,
+# which int() converts under any digit limit that Python allows.  `re`
+# compiles each pattern on its first use, not at import, and caches it.
+_BLOCK_LINES = 256
+_INT = "[0-9]{1,640}"
+_HEADER = f"p ({_INT}) ({_INT})\n"
+_EDGE_BLOCK = f"(?:e {_INT} {_INT}\n)*"
+_COLOURING_BLOCK = (f"(?:v {_INT} {_INT}\n)*(?:E {_INT} {_INT} {_INT}\n)*"
+                    f"(?:w {_INT} {_INT}\n)*")
 
 
 def records(lines):
@@ -72,9 +96,65 @@ def parse_graph_lines(lines):
         raise FormatError(f"line {line}: {exc.reason}") from exc
 
 
-def parse_graph(pathname):
+class _Numbers(dict):
+    """int() of a field string, looked up for "0".."1023": the files repeat
+    their vertex ids and their few colours many times."""
+
+    def __missing__(self, text):
+        return int(text)
+
+
+_number = _Numbers(zip(map(str, range(1024)), range(1024))).__getitem__
+
+
+def _blocks(fh):
+    """The rest of `fh` as strings of up to _BLOCK_LINES lines each."""
+    while block := "".join(islice(fh, _BLOCK_LINES)):
+        yield block
+
+
+def _graph_in_blocks(fh):
+    """The graph in `fh` if it is written exactly as format_graph writes
+    one (edges ascending, each as (u, v) with u < v), else None."""
+    header = re.fullmatch(_HEADER, fh.readline())
+    if header is None:
+        return None
+    n, m = int(header[1]), int(header[2])
+    us, vs = [], []
+    for block in _blocks(fh):
+        if re.fullmatch(_EDGE_BLOCK, block) is None:
+            return None
+        fields = block.split()
+        us += map(_number, fields[1::3])
+        vs += map(_number, fields[2::3])
+    edges = tuple(zip(us, vs))
+    # edges strictly ascending, each with u < v: no self-loop, no edge
+    # twice, and us[0] is the least endpoint, max(vs) the greatest
+    if (len(edges) != m or m and (us[0] < 1 or max(vs) > n)
+            or not all(map(lt, us, vs))
+            or not all(map(lt, edges, islice(edges, 1, None)))):
+        return None
+    # each set takes its smaller neighbours, then its larger ones, each
+    # ascending: the order in which build_graph adds them
+    adjacency = [set() for _ in range(n + 1)]
+    deque(map(set.add, map(adjacency.__getitem__, vs), us), maxlen=0)
+    deque(map(set.add, map(adjacency.__getitem__, us), vs), maxlen=0)
+    return freeze_graph(n, edges, adjacency)
+
+
+def _read(pathname, in_blocks, by_lines):
+    """in_blocks' reading of the file, or by_lines' where in_blocks gives
+    None: the writers' form in blocks, any other form line by line."""
     with open(pathname, encoding="utf-8") as fh:
-        return parse_graph_lines(fh)
+        result = in_blocks(fh)
+        if result is None:
+            fh.seek(0)
+            result = by_lines(fh)
+        return result
+
+
+def parse_graph(pathname):
+    return _read(pathname, _graph_in_blocks, parse_graph_lines)
 
 
 def format_graph(g):
@@ -98,6 +178,12 @@ def format_colouring(g, colouring, meta):
     return "\n".join(out) + "\n"
 
 
+def _read_meta(meta, fields):
+    for token in fields[1:]:
+        key, _, value = token.partition("=")
+        meta[key] = value
+
+
 def parse_colouring_lines(lines):
     """Returns (meta dict, TotalColouring); 'w' lines are ignored on input
     (they are derived data).  A repeated 'v' or 'E' record is refused."""
@@ -107,9 +193,7 @@ def parse_colouring_lines(lines):
     for lineno, fields in records(lines):
         tag = fields[0]
         if tag == "meta":
-            for token in fields[1:]:
-                key, _, value = token.partition("=")
-                meta[key] = value
+            _read_meta(meta, fields)
             continue
         size = _COLOURING_FIELDS.get(tag)
         if size is None:
@@ -133,6 +217,36 @@ def parse_colouring_lines(lines):
     return meta, TotalColouring(vcol, ecol)
 
 
+def _colouring_in_blocks(fh):
+    """(meta, TotalColouring) if `fh` is written exactly as format_colouring
+    writes (a meta line, then v, E and w records, each E as (u, v) with
+    u < v), else None."""
+    fields = fh.readline().split("#", 1)[0].split()
+    if fields[:1] != ["meta"]:
+        return None
+    meta, vcol, ecol = {}, {}, {}
+    _read_meta(meta, fields)
+    count_v = count_e = 0
+    for block in _blocks(fh):
+        if re.fullmatch(_COLOURING_BLOCK, block) is None:
+            return None
+        fields = block.split()
+        nv, ne = block.count("v"), block.count("E")
+        end_v, end_e = 3 * nv, 3 * nv + 4 * ne
+        vcol.update(zip(map(_number, fields[1:end_v:3]),
+                        map(_number, fields[2:end_v:3])))
+        us = list(map(_number, fields[end_v + 1:end_e:4]))
+        vs = list(map(_number, fields[end_v + 2:end_e:4]))
+        if not all(map(lt, us, vs)):
+            return None
+        ecol.update(zip(zip(us, vs), map(_number, fields[end_v + 3:end_e:4])))
+        count_v += nv
+        count_e += ne
+    # a record read twice leaves its table short
+    if len(vcol) != count_v or len(ecol) != count_e:
+        return None
+    return meta, TotalColouring(vcol, ecol)
+
+
 def parse_colouring(pathname):
-    with open(pathname, encoding="utf-8") as fh:
-        return parse_colouring_lines(fh)
+    return _read(pathname, _colouring_in_blocks, parse_colouring_lines)

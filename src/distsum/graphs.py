@@ -89,9 +89,14 @@ def build_graph(n, edges):
         canon.append(edge_key(u, v))
         adjacency[u].add(v)
         adjacency[v].add(u)
+    return freeze_graph(n, tuple(sorted(canon)), adjacency)
+
+
+def freeze_graph(n, edges, adjacency):
+    """The Graph of checked, sorted edges and their neighbour sets."""
     max_degree = max((len(a) for a in adjacency[1:]), default=0)
     frozen = [frozenset()] + [frozenset(adjacency[v]) for v in range(1, n + 1)]
-    return Graph(n, tuple(sorted(canon)), frozen, max_degree)
+    return Graph(n, edges, frozen, max_degree)
 
 
 def ball(g, sources, radius):

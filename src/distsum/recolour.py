@@ -185,6 +185,7 @@ class _Run:
         # nearest first: the walk reads the rings built so far and grows the
         # next one each time it reaches the last offset built
         offsets = self.rings.setdefault(sizes, [(0, 0, 0)])
+        last = offsets[-1]
         holders = self.owners.get
         for base in range(1, modulus + 1):
             if base % modulus in forbidden:
@@ -193,8 +194,9 @@ class _Run:
             for offset in offsets:
                 if not holders(w0 + offset[0], 0) & ball:
                     break
-                if offset is offsets[-1]:
+                if offset is last:
                     self._grow(sizes, offsets)
+                    last = offsets[-1]
             else:
                 continue                # every offset's sum is taken
             break

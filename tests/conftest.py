@@ -15,6 +15,12 @@ def src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def write_lines(path, lines):
+    """Write `lines` to `path`, each ended by a bare newline; return path."""
+    path.write_bytes("".join(line + "\n" for line in lines).encode())
+    return path
+
+
 def sample_weights(g, seed):
     """Independent uniform [0, 1) weights from random.Random(seed): the first
     draw resample_until_valid makes."""

@@ -12,7 +12,7 @@ from distsum import TotalColouring, cli, exact, files, generate, verify
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
 
-from conftest import forbid_every_base, src_env
+from conftest import forbid_every_base, src_env, write_lines
 
 
 def run_cli(argv):
@@ -52,9 +52,12 @@ def test_parse_graph_p3_with_comment():
     (["p -1 0"], "^line 1: vertex count must be non-negative, got -1$"),
     (["# c", "p 2 2", "e 1 2"], "^line 2: header declares 2 edges, found 1$"),
 ])
-def test_parse_graph_errors(lines, msg):
+def test_parse_graph_errors(tmp_path, lines, msg):
     with pytest.raises(FormatError, match=msg):
         parse_graph_lines(lines)
+    # and the same refusal from the file reader
+    with pytest.raises(FormatError, match=msg):
+        files.parse_graph(write_lines(tmp_path / "g.txt", lines))
 
 
 @pytest.mark.parametrize("lines,msg", [
@@ -69,9 +72,11 @@ def test_parse_graph_errors(lines, msg):
     (["E 1 2 5", "E 2 1 6"], r"line 2: duplicate 'E' record for \(1, 2\)"),
 ], ids=["unknown-tag", "short-v", "short-E", "long-w", "non-integer-v",
         "non-integer-E", "non-integer-w", "duplicate-v", "duplicate-E"])
-def test_parse_colouring_errors(lines, msg):
+def test_parse_colouring_errors(tmp_path, lines, msg):
     with pytest.raises(FormatError, match=msg):
         parse_colouring_lines(lines)
+    with pytest.raises(FormatError, match=msg):
+        files.parse_colouring(write_lines(tmp_path / "c.txt", lines))
 
 
 def test_readers_skip_comments_and_blank_lines():
