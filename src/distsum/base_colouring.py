@@ -27,7 +27,9 @@ def edge_colour_indices(g):
     common free colour is the lowest zero bit of used[u] | used[v], the free
     colour of v the lowest zero bit of used[v], and the next fan vertex is
     across the lowest colour in used[u] & ~used[last] & ~taken, where taken
-    holds the colours of the fan so far.
+    holds the colours of the fan so far.  The map is read off at[u] for each
+    neighbour w > u: by lower endpoint, then in the order u's colours were
+    last set.  Nothing reads that order; writers and the verifier walk g.edges.
     """
     at = [dict() for _ in range(g.n + 1)]  # at[v][c] = neighbour across the c-edge
     used = [1] * (g.n + 1)
@@ -102,8 +104,7 @@ def edge_colour_indices(g):
         # carries, so the first fan vertex with d free still ends a fan.
         upto = next(i for i, w in enumerate(fan) if not used[w] >> d & 1)
         rotate(u, fan, cols, upto, d)
-    colour_of = [{w: c for c, w in across.items()} for across in at]
-    return {(u, v): colour_of[u][v] for u, v in g.edges}
+    return {(u, w): c for u, across in enumerate(at) for c, w in across.items() if u < w}
 
 
 def base_total_colouring(g, params):

@@ -157,6 +157,8 @@ def parse_grid_lines(lines):
             raise files.FormatError(
                 f"line {lineno}: {kind} takes {names} size parameters, "
                 f"integer r and seed") from None
+        if radius < 1:
+            raise files.FormatError(f"line {lineno}: radius must be >= 1")
         grid.append((kind, fields[1:-2], radius, seed))
     return grid
 

@@ -27,12 +27,11 @@ and every malformed one the same error message, line number included.
 from __future__ import annotations
 
 import re
-from collections import deque
 from itertools import islice
 from operator import lt
 
 from .colouring import TotalColouring
-from .graphs import GraphError, build_graph, edge_key, freeze_graph
+from .graphs import Graph, GraphError, build_graph, edge_key
 
 
 class FormatError(ValueError):
@@ -134,12 +133,11 @@ def _graph_in_blocks(fh):
             or not all(map(lt, us, vs))
             or not all(map(lt, edges, islice(edges, 1, None)))):
         return None
-    # each set takes its smaller neighbours, then its larger ones, each
-    # ascending: the order in which build_graph adds them
     adjacency = [set() for _ in range(n + 1)]
-    deque(map(set.add, map(adjacency.__getitem__, vs), us), maxlen=0)
-    deque(map(set.add, map(adjacency.__getitem__, us), vs), maxlen=0)
-    return freeze_graph(n, edges, adjacency)
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return Graph(n, edges, adjacency)
 
 
 def _read(pathname, in_blocks, by_lines):

@@ -32,7 +32,9 @@ def edge_key(u, v):
 
 
 class Graph:
-    """Simple undirected graph with adjacency sets and max degree.
+    """Simple undirected graph with adjacency sets and max degree.  The
+    constructor freezes the n + 1 neighbour sets it is given (index 0 empty)
+    and derives max_degree from them.
 
     Attributes:
         n: vertex count, vertices are 1..n
@@ -51,11 +53,11 @@ class Graph:
 
     __slots__ = ("n", "edges", "adjacency", "max_degree", "_tables")
 
-    def __init__(self, n, edges, adjacency, max_degree):
+    def __init__(self, n, edges, adjacency):
         self.n = n
         self.edges = edges
-        self.adjacency = adjacency
-        self.max_degree = max_degree
+        self.adjacency = list(map(frozenset, adjacency))
+        self.max_degree = max(map(len, self.adjacency))
         self._tables = {}
 
     def degree(self, v):
@@ -89,14 +91,7 @@ def build_graph(n, edges):
         canon.append(edge_key(u, v))
         adjacency[u].add(v)
         adjacency[v].add(u)
-    return freeze_graph(n, tuple(sorted(canon)), adjacency)
-
-
-def freeze_graph(n, edges, adjacency):
-    """The Graph of checked, sorted edges and their neighbour sets."""
-    max_degree = max((len(a) for a in adjacency[1:]), default=0)
-    frozen = [frozenset()] + [frozenset(adjacency[v]) for v in range(1, n + 1)]
-    return Graph(n, edges, frozen, max_degree)
+    return Graph(n, tuple(sorted(canon)), adjacency)
 
 
 def ball(g, sources, radius):

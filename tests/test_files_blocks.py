@@ -25,8 +25,19 @@ KIND_SPECS = {
 }
 
 
+# every kind above, and one whose vertex ids run past files._number's table
+INPUTS = ({kind: (kind, spec) for kind, spec in KIND_SPECS.items()}
+          | {"path-1300": ("path", ["1300"])})
+
+
 def test_every_kind_is_covered():
     assert set(KIND_SPECS) == set(generate.KINDS)
+
+
+def test_large_ids_miss_the_number_table():
+    # so the bulk reader converts ids past 1023 through _Numbers.__missing__
+    assert "1023" in files._number.__self__
+    assert "1024" not in files._number.__self__
 
 
 def _by_lines(parse, path):
@@ -88,12 +99,12 @@ def perturb(name, lines):
     return end.join(lines) + end
 
 
-@pytest.fixture(scope="module", params=sorted(KIND_SPECS))
+@pytest.fixture(scope="module", params=sorted(INPUTS))
 def written(request):
-    """(graph file lines, colouring file lines) for one kind, as the CLI
+    """(graph file lines, colouring file lines) for one input, as the CLI
     writes them."""
-    kind = request.param
-    g = generate.from_spec(kind, KIND_SPECS[kind], 1)
+    kind, spec = INPUTS[request.param]
+    g = generate.from_spec(kind, spec, 1)
     colouring, _, _ = recolour.run(g, 2, 1)
     meta = {"n": g.n, "m": g.m, "r": 2, "seed": 1}
     return (files.format_graph(g).splitlines(),

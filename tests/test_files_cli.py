@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from distsum import TotalColouring, cli, exact, files, generate, verify
+from distsum import GraphError, TotalColouring, build_graph, cli, exact, files, generate, verify
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
 
@@ -57,6 +57,24 @@ def test_parse_graph_errors(tmp_path, lines, msg):
         parse_graph_lines(lines)
     # and the same refusal from the file reader
     with pytest.raises(FormatError, match=msg):
+        files.parse_graph(write_lines(tmp_path / "g.txt", lines))
+
+
+@pytest.mark.parametrize("edges,reason", [
+    ([(1, 2), (2, 1), (3, 3)], r"duplicate edge \(1, 2\)"),
+    ([(1, 2), (3, 3), (2, 1)], "self-loop at vertex 3"),
+    ([(2, 3), (1, 4), (3, 2)], r"endpoint out of range in \(1, 4\)"),
+    ([(2, 3), (3, 2), (1, 4)], r"duplicate edge \(2, 3\)"),
+], ids=["duplicate-then-loop", "loop-then-duplicate", "range-then-duplicate",
+        "duplicate-then-range"])
+def test_first_bad_edge_in_input_order_is_refused(tmp_path, edges, reason):
+    # two kinds of error in one list: the earlier edge's is the one reported
+    with pytest.raises(GraphError, match=f"^edge 1: {reason}$"):
+        build_graph(3, edges)
+    lines = ["p 3 3"] + [f"e {u} {v}" for u, v in edges]
+    with pytest.raises(FormatError, match=f"^line 3: {reason}$"):
+        parse_graph_lines(lines)
+    with pytest.raises(FormatError, match=f"^line 3: {reason}$"):
         files.parse_graph(write_lines(tmp_path / "g.txt", lines))
 
 
@@ -445,6 +463,15 @@ def test_experiment_cli_grid_error_names_line(tmp_path, capsys):
     assert run_cli(["experiment", "--grid", str(grid)]) == (2, "")
     assert capsys.readouterr().err == (
         "error: line 2: path takes int size parameters, integer r and seed\n")
+
+
+@pytest.mark.parametrize("row", ["path 5 0 1", "path 5 -2 1"], ids=["zero", "negative"])
+def test_experiment_cli_refuses_radius_below_one(tmp_path, capsys, row):
+    # like color, order and verify: refused (exit 2) with its line, not a row
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"path 8 2 1\n{row}\n")
+    assert run_cli(["experiment", "--grid", str(grid)]) == (2, "")
+    assert capsys.readouterr().err == "error: line 2: radius must be >= 1\n"
 
 
 def test_experiment_rows_and_determinism(tmp_path):
