@@ -37,7 +37,7 @@ def _schedule(g, radius):
     """
     elements = []
     for v in g.vertices():
-        elements += [(u, v) for u in sorted(g.adjacency[v]) if u < v]
+        elements += [(u, v) for u in g.adjacency[v] if u < v]
         elements.append((v,))
     parts = {v: [] for v in g.vertices()}
     for i, ends in enumerate(elements):

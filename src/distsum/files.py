@@ -133,11 +133,7 @@ def _graph_in_blocks(fh):
             or not all(map(lt, us, vs))
             or not all(map(lt, edges, islice(edges, 1, None)))):
         return None
-    adjacency = [set() for _ in range(n + 1)]
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    return Graph(n, edges, adjacency)
+    return Graph(n, edges)
 
 
 def _read(pathname, in_blocks, by_lines):

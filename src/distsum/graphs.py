@@ -32,15 +32,16 @@ def edge_key(u, v):
 
 
 class Graph:
-    """Simple undirected graph with adjacency sets and max degree.  The
-    constructor freezes the n + 1 neighbour sets it is given (index 0 empty)
-    and derives max_degree from them.
+    """Simple undirected graph with neighbour tuples and max degree, built
+    from n and the sorted edges alone: no caller passes neighbour lists.
+    Appending both ends of each edge in edge order makes each adjacency[v]
+    the ascending tuple of v's neighbours (index 0 empty), with no sort.
 
     Attributes:
         n: vertex count, vertices are 1..n
         edges: sorted tuple of (u, v) pairs with u < v
-        adjacency: list indexed by vertex id; adjacency[v] is a frozenset
-        max_degree: maximum neighbour-set size over all vertices
+        adjacency: list indexed by vertex id; adjacency[v] is a tuple
+        max_degree: maximum neighbour count over all vertices
 
     `all_r_neighbourhoods` and `degree_stats` cache their result in
     `_tables` on first use, keyed ("r_neighbourhoods", radius) and
@@ -53,10 +54,14 @@ class Graph:
 
     __slots__ = ("n", "edges", "adjacency", "max_degree", "_tables")
 
-    def __init__(self, n, edges, adjacency):
+    def __init__(self, n, edges):
         self.n = n
         self.edges = edges
-        self.adjacency = list(map(frozenset, adjacency))
+        adjacency = [[] for _ in range(n + 1)]
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        self.adjacency = list(map(tuple, adjacency))
         self.max_degree = max(map(len, self.adjacency))
         self._tables = {}
 
@@ -79,19 +84,17 @@ def build_graph(n, edges):
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
-    adjacency = [set() for _ in range(n + 1)]
-    canon = []
+    seen = {}      # canonical keys in input order: sorted input sorts in linear time
     for idx, (u, v) in enumerate(edges):
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise GraphError(f"endpoint out of range in ({u}, {v})", idx)
         if u == v:
             raise GraphError(f"self-loop at vertex {u}", idx)
-        if v in adjacency[u]:
-            raise GraphError(f"duplicate edge {edge_key(u, v)}", idx)
-        canon.append(edge_key(u, v))
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    return Graph(n, tuple(sorted(canon)), adjacency)
+        key = edge_key(u, v)
+        if key in seen:
+            raise GraphError(f"duplicate edge {key}", idx)
+        seen[key] = None
+    return Graph(n, tuple(sorted(seen)))
 
 
 def ball(g, sources, radius):
@@ -186,7 +189,7 @@ def degree_stats(g):
     adjacency = g.adjacency
     degrees = list(map(len, adjacency))
     big = frozenset(v for v in g.vertices() if degrees[v] > threshold)
-    stats = DegreeStats(big, tuple(len(nbrs & big) for nbrs in adjacency),
+    stats = DegreeStats(big, tuple(len(big.intersection(nbrs)) for nbrs in adjacency),
                         tuple(sum(map(degrees.__getitem__, nbrs)) for nbrs in adjacency))
     g._tables["degree_stats"] = stats
     return stats
@@ -213,11 +216,12 @@ def backward_stats(g, ordering, balls):
 
     back_r_cnt = [0] * (g.n + 1)
     back_big = [0] * (g.n + 1)
-    earlier = set()                 # the vertices ordered before v
-    earlier_bits = 0                # the same, as a bitmask
+    earlier_bits = 0                # the vertices ordered before v, as a bitmask
+    earlier_big = set()             # the big vertices among them
     for v in ordering:
         back_r_cnt[v] = (earlier_bits & balls[v]).bit_count()
-        back_big[v] = len(g.adjacency[v] & earlier & big)
-        earlier.add(v)
+        back_big[v] = len(earlier_big.intersection(g.adjacency[v]))
         earlier_bits |= 1 << v
+        if v in big:
+            earlier_big.add(v)
     return BackwardStats(tuple(back_r_cnt), tuple(back_big))

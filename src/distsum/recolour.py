@@ -119,7 +119,7 @@ class _Run:
         forbidden = set()
         groups = {modulus: [], -modulus: [], step: [], -step: []}
         edge_sum = 0
-        for u in sorted(self.g.adjacency[v]):
+        for u in self.g.adjacency[v]:
             key = (v, u) if v < u else (u, v)
             colour = ecol[key]
             edge_sum += colour
@@ -232,7 +232,7 @@ class _Run:
                          admissible_count, lattice_size, backward_r_count)
         self.trace.steps.append(rec)
         if self.check_invariants:
-            self._check_state(v, g.adjacency[v] | {v})
+            self._check_state(v, {v, *g.adjacency[v]})
         return rec
 
     # -- invariants ----------------------------------------------------

@@ -96,7 +96,7 @@ def verify(g, colouring, radius, bound=None):
         for u, ce in zip(nbrs, colours):
             by_colour[ce].append(u)
         clashes = sorted(pair for group in by_colour.values()
-                         for pair in combinations(sorted(group), 2))
+                         for pair in combinations(group, 2))
         for a, b in clashes:
             note(("adjacent-edges", (edge_key(v, a), edge_key(v, b))))
 

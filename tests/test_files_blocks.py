@@ -46,8 +46,8 @@ def _by_lines(parse, path):
 
 
 def _graph_view(g):
-    # adjacency as lists: the sets' iteration order must match too
-    return g.n, g.edges, [list(a) for a in g.adjacency], g.max_degree
+    # adjacency tuples compare in order, so the neighbour order must match too
+    return g.n, g.edges, g.adjacency, g.max_degree
 
 
 def _colouring_view(result):

@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from distsum import GraphError, build_graph, degree_stats
+from distsum import GraphError, build_graph, degree_stats, generate
 from distsum.graphs import all_r_neighbourhoods, backward_stats, ball
 
 from conftest import apsp, component_graph, golden_graphs, random_graph
@@ -20,7 +20,7 @@ def test_build_single_edge():
 
 def test_build_p3(p3):
     assert p3.max_degree == 2
-    assert p3.adjacency[2] == {1, 3}
+    assert p3.adjacency[2] == (1, 3)
 
 
 @pytest.mark.parametrize("edges,msg", [
@@ -38,6 +38,38 @@ def test_build_error_carries_edge_index():
     with pytest.raises(GraphError, match=r"^edge 1: duplicate edge \(1, 2\)$") as info:
         build_graph(3, [(1, 2), (2, 1)])
     assert (info.value.edge, info.value.reason) == (1, "duplicate edge (1, 2)")
+
+
+def _shuffled_swapped(n, p, seed):
+    """A gnp graph's edges shuffled, with every other edge's ends swapped."""
+    rng = random.Random(seed)
+    edges = list(random_graph(n, p, seed).edges)
+    rng.shuffle(edges)
+    return build_graph(n, [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)])
+
+
+KIND_SIZES = {"path": ["9"], "cycle": ["9"], "complete": ["7"], "star": ["6"],
+              "gnp": ["30", "0.2"], "regular-ish": ["40", "5"]}
+GRAPH_MAKERS = {
+    **{kind: lambda kind=kind: generate.from_spec(kind, KIND_SIZES[kind], 3)
+       for kind in generate.KINDS},
+    "isolated": lambda: component_graph(30, (8, 12), 0.3, 1),
+    "empty": lambda: build_graph(0, []),
+    "shuffled-swapped": lambda: _shuffled_swapped(40, 0.2, 5),
+}
+
+
+@pytest.mark.parametrize("name", GRAPH_MAKERS)
+def test_adjacency_is_ascending_tuple_of_edge_neighbours(name):
+    g = GRAPH_MAKERS[name]()
+    nbrs = [[] for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    assert len(g.adjacency) == g.n + 1
+    for v in range(g.n + 1):
+        assert type(g.adjacency[v]) is tuple
+        assert g.adjacency[v] == tuple(sorted(nbrs[v]))
 
 
 def test_r_neighbourhood_p3(p3):
@@ -106,7 +138,7 @@ def test_degree_stats_partition():
     g = random_graph(25, 0.2, 1)
     stats = degree_stats(g)
     for v in g.vertices():
-        assert stats.big_nbr_count[v] == len(g.adjacency[v] & stats.big_set)
+        assert stats.big_nbr_count[v] == len(stats.big_set.intersection(g.adjacency[v]))
 
 
 def test_backward_stats_p3(p3):

@@ -257,7 +257,7 @@ def test_step_check_misses_far_fault_and_end_scan_reports_it(monkeypatch):
         if corrupted:
             return
         for a, b in g.edges:
-            around = g.adjacency[a] | g.adjacency[b]
+            around = {*g.adjacency[a], *g.adjacency[b]}
             if runner.shift.keys() >= around:
                 runner.colouring.edge_colours[(a, b)] += 1
                 corrupted.append(((a, b), around, set(g.vertices()) - runner.shift.keys()))
