@@ -27,12 +27,14 @@ def edge_colour_indices(g):
     common free colour is the lowest zero bit of used[u] | used[v], the free
     colour of v the lowest zero bit of used[v], and the next fan vertex is
     across the lowest colour in used[u] & ~used[last] & ~taken, where taken
-    holds the colours of the fan so far.  The map is read off at[u] for each
-    neighbour w > u: by lower endpoint, then in the order u's colours were
-    last set.  Nothing reads that order; writers and the verifier walk g.edges.
+    holds the colours of the fan so far.  The map returned is keyed by the
+    graph's own g.edges tuples, in edge order: each edge enters it at its
+    turn, and a later flip or rotation only rewrites its value, so the
+    colourings built on it hold no second key per edge.
     """
     at = [dict() for _ in range(g.n + 1)]  # at[v][c] = neighbour across the c-edge
     used = [1] * (g.n + 1)
+    colour = {}                            # g.edges key -> colour, in edge order
 
     def lowest_free(mask):
         # The lowest colour whose bit is clear in mask.
@@ -56,6 +58,7 @@ def edge_colour_indices(g):
             new = c if col == d else d
             at[a][new] = b
             at[b][new] = a
+            colour[(a, b) if a < b else (b, a)] = new
 
     def rotate(u, fan, cols, upto, d):
         # (u, fan[j]) takes the colour of (u, fan[j + 1]); (u, fan[upto]) takes d.
@@ -68,15 +71,19 @@ def edge_colour_indices(g):
             at[u][cols[j]] = w
             at[w][cols[j]] = u
             used[w] |= 1 << cols[j]
+            colour[(u, w) if u < w else (w, u)] = cols[j]
         w = fan[upto]
         at[u][d] = w
         at[w][d] = u
         used[u] |= 1 << d
         used[w] |= 1 << d
+        colour[(u, w) if u < w else (w, u)] = d
 
     top = g.max_degree + 1
-    for (u, v) in g.edges:
+    for key in g.edges:
+        u, v = key
         c = lowest_free(used[u] | used[v])
+        colour[key] = c                    # a c past top is the fan step's to set
         if c <= top:
             at[u][c] = v
             at[v][c] = u
@@ -104,13 +111,13 @@ def edge_colour_indices(g):
         # carries, so the first fan vertex with d free still ends a fan.
         upto = next(i for i, w in enumerate(fan) if not used[w] >> d & 1)
         rotate(u, fan, cols, upto, d)
-    return {(u, w): c for u, across in enumerate(at) for c, w in across.items() if u < w}
+    return colour
 
 
 def base_total_colouring(g, params):
     """Edge palette colours, distinct modulo the modulus at each vertex, and
     no vertex colour yet: the edge of colour index j takes the j-th smallest
-    edge-palette element."""
+    edge-palette element.  Keyed by g.edges' own tuples, in edge order."""
     palette = (None, *params.elements())
     edges = {key: palette[j] for key, j in edge_colour_indices(g).items()}
     return TotalColouring({}, edges, params)

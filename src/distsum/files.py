@@ -14,14 +14,18 @@ Colouring format:
 
 Writers are deterministic, so identical data round-trips byte-exactly.
 
-`parse_graph` and `parse_colouring` read the writers' own form in bulk,
-block by block (_BLOCK_LINES lines at a time): one regular expression checks
+`format_colouring` joins its text from blocks of _BLOCK_LINES lines, so it
+never holds a list of every line.  `parse_graph` and `parse_colouring` read
+the writers' own form in bulk, block by block: one regular expression checks
 that every line of a block is a record as the writer prints it, and
-`str.split`, slicing and `map` take the block apart.  A file in any other
-form (comments, blank lines, tabs, reversed or unsorted edges, a repeated or
-malformed record) is read again from its start by `parse_graph_lines` /
-`parse_colouring_lines`.  Either way every valid file gives the same result
-and every malformed one the same error message, line number included.
+`str.split` and slicing take the block apart into columns.  A column's
+fields are looked up in a table of "0".."1023", as the files repeat their
+ids and few colours; a column with a field past it is converted by int().
+A file in any other form (comments, blank lines, tabs, reversed or unsorted
+edges, a repeated or malformed record) is read again from its start by
+`parse_graph_lines` / `parse_colouring_lines`.  Either way every valid file
+gives the same result and every malformed one the same error message, line
+number included.
 """
 
 from __future__ import annotations
@@ -95,15 +99,15 @@ def parse_graph_lines(lines):
         raise FormatError(f"line {line}: {exc.reason}") from exc
 
 
-class _Numbers(dict):
-    """int() of a field string, looked up for "0".."1023": the files repeat
-    their vertex ids and their few colours many times."""
-
-    def __missing__(self, text):
-        return int(text)
+_number = dict(zip(map(str, range(1024)), range(1024))).__getitem__
 
 
-_number = _Numbers(zip(map(str, range(1024)), range(1024))).__getitem__
+def _ints(texts):
+    """int() of each field string: by _number, or by int() on a miss."""
+    try:
+        return list(map(_number, texts))
+    except KeyError:
+        return list(map(int, texts))
 
 
 def _blocks(fh):
@@ -124,8 +128,8 @@ def _graph_in_blocks(fh):
         if re.fullmatch(_EDGE_BLOCK, block) is None:
             return None
         fields = block.split()
-        us += map(_number, fields[1::3])
-        vs += map(_number, fields[2::3])
+        us += _ints(fields[1::3])
+        vs += _ints(fields[2::3])
     edges = tuple(zip(us, vs))
     # edges strictly ascending, each with u < v: no self-loop, no edge
     # twice, and us[0] is the least endpoint, max(vs) the greatest
@@ -157,19 +161,26 @@ def format_graph(g):
     return "\n".join(out) + "\n"
 
 
+def _chunks(seq):
+    """Slices of `seq` of up to _BLOCK_LINES items each."""
+    return (seq[i:i + _BLOCK_LINES] for i in range(0, len(seq), _BLOCK_LINES))
+
+
 def format_colouring(g, colouring, meta):
     """Serialize a colouring; `meta` is an ordered mapping of scalars."""
     vcol, ecol = colouring.vertex_colours, colouring.edge_colours
-    out = ["meta " + " ".join(f"{k}={v}" for k, v in meta.items())]
-    out.extend(f"v {v} {vcol[v]}" for v in g.vertices())
+    out = ["meta " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"]
+    out += ("".join([f"v {v} {vcol[v]}\n" for v in vs]) for vs in _chunks(g.vertices()))
     edge_sum = [0] * (g.n + 1)
-    for u, v in g.edges:
-        colour = ecol[(u, v)]
-        edge_sum[u] += colour
-        edge_sum[v] += colour
-        out.append(f"E {u} {v} {colour}")
-    out.extend(f"w {v} {vcol[v] + edge_sum[v]}" for v in g.vertices())
-    return "\n".join(out) + "\n"
+    for edges in _chunks(g.edges):
+        colours = list(map(ecol.__getitem__, edges))
+        for (u, v), colour in zip(edges, colours):
+            edge_sum[u] += colour
+            edge_sum[v] += colour
+        out.append("".join([f"E {u} {v} {c}\n" for (u, v), c in zip(edges, colours)]))
+    out += ("".join([f"w {v} {vcol[v] + edge_sum[v]}\n" for v in vs])
+            for vs in _chunks(g.vertices()))
+    return "".join(out)
 
 
 def _read_meta(meta, fields):
@@ -227,13 +238,12 @@ def _colouring_in_blocks(fh):
         fields = block.split()
         nv, ne = block.count("v"), block.count("E")
         end_v, end_e = 3 * nv, 3 * nv + 4 * ne
-        vcol.update(zip(map(_number, fields[1:end_v:3]),
-                        map(_number, fields[2:end_v:3])))
-        us = list(map(_number, fields[end_v + 1:end_e:4]))
-        vs = list(map(_number, fields[end_v + 2:end_e:4]))
+        vcol.update(zip(_ints(fields[1:end_v:3]), _ints(fields[2:end_v:3])))
+        us = _ints(fields[end_v + 1:end_e:4])
+        vs = _ints(fields[end_v + 2:end_e:4])
         if not all(map(lt, us, vs)):
             return None
-        ecol.update(zip(zip(us, vs), map(_number, fields[end_v + 3:end_e:4])))
+        ecol.update(zip(zip(us, vs), _ints(fields[end_v + 3:end_e:4])))
         count_v += nv
         count_e += ne
     # a record read twice leaves its table short

@@ -48,6 +48,7 @@ stopped in.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import NamedTuple
 
 from .base_colouring import base_total_colouring
@@ -91,7 +92,7 @@ class _Run:
 
         self.colouring = base_total_colouring(g, params)
         self.vcol, self.ecol = self.colouring.vertex_colours, self.colouring.edge_colours
-        self.alterations = dict.fromkeys(self.ecol, 0)
+        self.alterations = defaultdict(int)    # edge -> shifts so far, shifted edges only
         self.anchor = {}
         self.target = {}
         self.owners = {}            # target sum -> bitmask of its processed holders
@@ -267,7 +268,7 @@ class _Run:
                     bad(f"after {label}: edge {key} left its residue class")
                 if not 1 <= ce <= self.params.palette_max:
                     bad(f"after {label}: edge {key} colour {ce} out of range")
-                if self.alterations[key] > 2:
+                if self.alterations.get(key, 0) > 2:
                     bad(f"after {label}: edge {key} altered more than twice")
                 # properness modulo the modulus, ignoring unprocessed vertices
                 for end in key:

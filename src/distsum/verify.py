@@ -9,7 +9,8 @@ int bitmask from r rounds of B_k(v) = B_{k-1}(v) | OR of B_{k-1}(u) over
 u in N(v), from B_0(v) = {v}.  The vertices holding each weighted degree
 form one bitmask too, so the later vertices within the radius that share
 v's sum are that mask AND v's ball, shifted past v; they are noted as
-equal-sums witnesses (v, u) in ascending u.
+equal-sums witnesses (v, u) in ascending u.  With n distinct sums there
+is no pair at any radius, and no ball table is built.
 
 The incidence check costs O(m): one pass over each vertex's incident edge
 colours, which also sums its weighted degree.  Only a vertex whose colours
@@ -103,14 +104,15 @@ def verify(g, colouring, radius, bound=None):
     by_sum = defaultdict(int)       # sum -> bitmask of the vertices holding it
     for v in g.vertices():
         by_sum[sums[v]] |= 1 << v
-    balls = _closed_balls(g.adjacency, radius)
-    for v in g.vertices():
-        # bit i of near: vertex v + 1 + i is within r of v and shares v's sum
-        near = (by_sum[sums[v]] & balls[v]) >> (v + 1)
-        while near:
-            low = near & -near
-            note(("equal-sums", (v, v + low.bit_length())))
-            near ^= low
+    if len(by_sum) < g.n:           # two vertices share a sum
+        balls = _closed_balls(g.adjacency, radius)
+        for v in g.vertices():
+            # bit i of near: vertex v + 1 + i is within r of v and shares v's sum
+            near = (by_sum[sums[v]] & balls[v]) >> (v + 1)
+            while near:
+                low = near & -near
+                note(("equal-sums", (v, v + low.bit_length())))
+                near ^= low
 
     if min(vcol.values(), default=1) < 1 or min(ecol.values(), default=1) < 1:
         for v in g.vertices():

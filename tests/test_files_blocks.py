@@ -9,8 +9,9 @@ from itertools import islice
 
 import pytest
 
-from distsum import TotalColouring, files, generate, recolour
+from distsum import TotalColouring, build_graph, files, generate, recolour
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
+from distsum.graphs import Graph
 
 from conftest import write_lines
 
@@ -35,7 +36,7 @@ def test_every_kind_is_covered():
 
 
 def test_large_ids_miss_the_number_table():
-    # so the bulk reader converts ids past 1023 through _Numbers.__missing__
+    # so the bulk reader converts a column with an id past 1023 by int()
     assert "1023" in files._number.__self__
     assert "1024" not in files._number.__self__
 
@@ -224,3 +225,46 @@ def test_block_reader_heap_within_a_block_of_line_reader(long_files, kind, parse
     # the block in hand and what its fields convert to, at most; a reader
     # that splits the whole file holds over a hundred blocks at once
     assert _peak_heap(parse, path) <= by_lines + 2 * block
+
+
+def _format_in_one_list(g, colouring, meta):
+    """format_colouring's text from one list of every line, joined once."""
+    vcol, ecol = colouring.vertex_colours, colouring.edge_colours
+    out = ["meta " + " ".join(f"{k}={v}" for k, v in meta.items())]
+    out += [f"v {v} {vcol[v]}" for v in g.vertices()]
+    out += [f"E {u} {v} {ecol[(u, v)]}" for u, v in g.edges]
+    out += [f"w {v} {colouring.weighted_degree(g, v)}" for v in g.vertices()]
+    return "\n".join(out) + "\n"
+
+
+def _some_colouring(g):
+    return TotalColouring({v: v % 7 + 1 for v in g.vertices()},
+                          {(u, v): (u * v) % 1100 + 1 for u, v in g.edges})
+
+
+# n = 0, an edgeless graph, then paths whose v, E and w sections hold
+# 255, 256, 257, 512 and 513 records: a block short of, at, and past
+# _BLOCK_LINES lines, and one and two past two blocks
+@pytest.mark.parametrize("g", [Graph(0, ()), build_graph(5, [])]
+                         + [generate.path(n) for n in (255, 256, 257, 258, 512, 513, 514)],
+                         ids=lambda g: f"n{g.n}-m{g.m}")
+def test_writer_blocks_match_one_list(tmp_path, g):
+    colouring = _some_colouring(g)
+    meta = {"n": g.n, "m": g.m, "r": 2}
+    text = files.format_colouring(g, colouring, meta)
+    assert text == _format_in_one_list(g, colouring, meta)
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    got_meta, got = files.parse_colouring(path)
+    assert got_meta == {k: str(v) for k, v in meta.items()}
+    assert got.vertex_colours == colouring.vertex_colours
+    assert got.edge_colours == colouring.edge_colours
+
+
+def test_writer_heap_below_one_list():
+    g = generate.path(8000)
+    colouring = _some_colouring(g)
+    meta = {"n": g.n}
+    one_list = _peak_heap(lambda _: _format_in_one_list(g, colouring, meta), None)
+    blocks = _peak_heap(lambda _: files.format_colouring(g, colouring, meta), None)
+    assert blocks < 0.6 * one_list

@@ -1,14 +1,16 @@
 import hashlib
 import json
+import operator
 import random
 import time
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from distsum import (backward_stats, build_graph, compute_params, ordering,
-                     resample_until_valid, run, verify)
+from distsum import (backward_stats, build_graph, compute_params, generate,
+                     ordering, resample_until_valid, run, verify)
 from distsum.generate import complete, regular_ish
 from distsum.graphs import all_r_neighbourhoods
 from distsum.recolour import RunError, _Run, replay
@@ -318,6 +320,43 @@ def test_alteration_budget():
         for key, _ in rec.edge_deltas:
             per_edge[key] = per_edge.get(key, 0) + 1
     assert all(count <= 2 for count in per_edge.values())
+
+
+# one instance of every generator kind; regular-ish 130 36 takes the
+# Misra-Gries fan step, which recolours edges already in the base map
+KIND_SPECS = {
+    "path": ["40"],
+    "cycle": ["41"],
+    "complete": ["6"],
+    "star": ["9"],
+    "gnp": ["40", "0.15"],
+    "regular-ish": ["130", "36"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+def test_colourings_key_edges_by_the_graphs_own_tuples(kind):
+    assert set(KIND_SPECS) == set(generate.KINDS)
+    g = generate.from_spec(kind, KIND_SPECS[kind], 1)
+    col, trace, _ = run(g, 2, 1)
+    for table in (col.edge_colours, trace.base_edge_colours):
+        assert len(table) == g.m
+        assert all(map(operator.is_, table, g.edges))
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_alterations_count_the_shifted_edges_only(check):
+    g = regular_ish(80, 6, 3)
+    runner = _Run(g, 3, compute_params(g.max_degree, 3), check_invariants=check)
+    for v in resample_until_valid(g, 3, 3).ordering:
+        runner.process_vertex(v)
+    if check:
+        runner._check_state("all steps", g.vertices())
+    shifted = Counter(key for rec in runner.trace.steps for key, _ in rec.edge_deltas)
+    assert 0 < len(shifted) < g.m
+    # a plain dict on the right: the check reads no edge into the table
+    assert runner.alterations == dict(shifted)
+    assert not runner.trace.invariant_violations
 
 
 def test_rejects_bad_radius(p3):

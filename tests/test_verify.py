@@ -1,3 +1,4 @@
+import importlib
 import random
 import time
 
@@ -8,6 +9,9 @@ from distsum.graphs import edge_key
 from distsum.verify import IncompleteColouringError
 
 from conftest import apsp, component_graph, random_graph
+
+# the package's `verify` names the function; the tests patch the module
+verify_module = importlib.import_module("distsum.verify")
 
 
 def test_k2_pass_all_radii(k2):
@@ -230,6 +234,49 @@ def test_equal_sums_match_pairwise_oracle(seed, radius):
         # many natural collisions: small colours make sums repeat everywhere
         col = _random_colouring(g, rng, 3)
         assert _equal_sums(g, col, radius) == _equal_sums_oracle(g, col, radius, dist)
+
+
+def _distinct_sums_colouring(g, rng):
+    col = _random_colouring(g, rng, 10 ** 6)
+    sums = [col.weighted_degree(g, v) for v in g.vertices()]
+    assert len(set(sums)) == g.n
+    return col
+
+
+def test_distinct_sums_build_no_ball_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ball table built")
+
+    monkeypatch.setattr(verify_module, "_closed_balls", refuse)
+    rng = random.Random(7)
+    for g in (random_graph(35, 0.08, 1), component_graph(40, (12, 9, 9, 1), 0.25, 1)):
+        col = _distinct_sums_colouring(g, rng)
+        for radius in (1, 2, 3, 10 ** 9):
+            assert verify(g, col, radius).passed
+    g = random_graph(40, 0.2, 3)                      # a construction's colouring
+    col, _, _ = run(g, 10, 3)
+    assert verify(g, col, 10).passed
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_one_equal_pair_at_and_past_the_radius(monkeypatch, radius):
+    builds = []
+    closed_balls = verify_module._closed_balls
+    monkeypatch.setattr(verify_module, "_closed_balls",
+                        lambda *args: builds.append(args) or closed_balls(*args))
+    rng = random.Random(radius)
+    g = random_graph(60, 0.05, 2)
+    dist = apsp(g)
+    for d in (radius, radius + 1):
+        pairs = [(v, u) for v in g.vertices() for u, du in dist[v].items()
+                 if u > v and du == d]
+        a, b = rng.choice(pairs)
+        col = _distinct_sums_colouring(g, rng)
+        _force_equal(g, col, a, b)
+        got = _equal_sums(g, col, radius)
+        assert got == _equal_sums_oracle(g, col, radius, dist)
+        assert got == ([("equal-sums", (a, b))] if d == radius else [])
+    assert len(builds) == 2
 
 
 def test_equal_sums_cases_are_exercised():
