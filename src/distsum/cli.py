@@ -16,7 +16,7 @@ import sys
 
 from . import exact as exact_mod
 from . import files, generate, recolour
-from .ordering import resample_until_valid
+from .ordering import CONDITIONS, resample_until_valid
 from .palette import check_disjoint_shifts, compute_params, headline_bound
 from .verify import verify
 
@@ -70,7 +70,7 @@ def _cmd_order(args, out):
     for v in sorted(cert.checks):
         marks = " ".join(
             f"{key}={'skip' if ok is None else 'pass' if ok else 'fail'}"
-            for key, ok in cert.checks[v].items())
+            for key, ok in zip(CONDITIONS, cert.checks[v]))
         out.write(f"check {v} {marks}\n")
     return 0
 

@@ -27,17 +27,18 @@ from .palette import headline_bound
 DEFAULT_MAX_ROUNDS = 1000
 MIN_DEGREE = 2
 
-# Condition keys of OrderingCertificate.checks:
-#   "low_nbrs"       cap on r-neighbours inside the low group
-#   "big_backward"   lower bound on backward big-class neighbours (high group only)
-#   "backward_span"  cap on backward r-neighbour count (high group only)
+# The conditions, in the order of each OrderingCertificate.checks tuple:
+#   low_nbrs       cap on r-neighbours inside the low group
+#   big_backward   lower bound on backward big-class neighbours (high group only)
+#   backward_span  cap on backward r-neighbour count (high group only)
+CONDITIONS = ("low_nbrs", "big_backward", "backward_span")
 
 
 class OrderingCertificate(NamedTuple):
     weights: dict                  # vertex -> float in [0, 1)
     ordering: list                 # permutation, ascending by (weight, id)
     split_threshold: float         # weights below it form the low group
-    checks: dict                   # vertex -> {key: bool or None}
+    checks: dict                   # vertex -> one bool or None per CONDITIONS entry
     resample_rounds: int
     seed: int
     valid: bool
@@ -89,10 +90,10 @@ def condition_counts(g, weights, radius):
 def check_conditions(g, weights, radius):
     """Evaluate the three ordering conditions.
 
-    Returns {vertex: {"low_nbrs": bool, "big_backward": bool|None,
-    "backward_span": bool|None}} for every checkable vertex ({} below
-    MIN_DEGREE).  The backward conditions are only evaluated for vertices in
-    the high group and are recorded as None otherwise.  Comparisons are plain
+    Returns {vertex: (low_nbrs, big_backward, backward_span)}, in CONDITIONS
+    order, for every checkable vertex ({} below MIN_DEGREE).  low_nbrs is a
+    bool; the backward conditions are only evaluated for vertices in the
+    high group and are None otherwise.  Comparisons are plain
     double-precision, no epsilon slack.
     """
     counts = condition_counts(g, weights, radius)
@@ -106,25 +107,22 @@ def check_conditions(g, weights, radius):
     results = {}
     for v, (low_count, big_back, back_r) in counts.items():
         wv = weights[v]
-        res = {
-            "low_nbrs": low_count <= 2 * g.degree(v) * delta ** (radius - 4.0 / 3.0) * logd,
-            "big_backward": None,
-            "backward_span": None,
-        }
+        low_ok = low_count <= 2 * g.degree(v) * delta ** (radius - 4.0 / 3.0) * logd
         if wv >= tau:
             bcount = big_nbr_count[v]
-            res["big_backward"] = (
-                big_back >= wv * bcount - math.sqrt(wv * bcount) * logd)
             mean = wv * nbr_degree_sum[v] * delta ** (radius - 2)
-            res["backward_span"] = back_r <= mean + math.sqrt(mean) * logd
-        results[v] = res
+            results[v] = (low_ok,
+                          big_back >= wv * bcount - math.sqrt(wv * bcount) * logd,
+                          back_r <= mean + math.sqrt(mean) * logd)
+        else:
+            results[v] = (low_ok, None, None)
     return results
 
 
 def failing_vertices(checks):
     """The checked vertices with a condition that does not hold."""
     return [v for v, res in checks.items()
-            if not all(ok is None or ok for ok in res.values())]
+            if not all(ok is None or ok for ok in res)]
 
 
 def resample_until_valid(g, radius, seed):

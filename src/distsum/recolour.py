@@ -36,6 +36,11 @@ bitmask of processed vertices holding w, meet v's r-ball.  A step that
 still finds no free sum raises RunError rather than lift a base colour past
 the modulus.
 
+The run keeps its records flat: a StepLog holds each step's scalars and its
+runs of edge shifts and compensations as plain ints, and builds a StepRecord
+only when read; the base edge colours are one tuple in g.edges order.  Only a
+checked run keys base colours by edge and counts each edge's shifts.
+
 Each step tries the lattice offsets nearest first, by L1 distance |i| + |j|
 then shift: ring by ring, each sorted on its own, out from ring 0, (0, 0).
 The steps with the same four group sizes (edges by signed shift) share one
@@ -69,10 +74,44 @@ class StepRecord(NamedTuple):
     backward_r_count: int           # processed r-neighbours of vertex
 
 
+class StepLog:
+    """The steps of a run, held flat: six `scalars` per step (the StepRecord
+    fields but the two lists), each shifted edge as u, v, delta in `edges`,
+    each compensation as u, delta in `comps`, and where each step's runs end
+    in `edge_ends` and `comp_ends`.  Indexing and iteration build
+    StepRecords.  Plain lists: colours pass 2**63 at large r."""
+
+    __slots__ = ("scalars", "edges", "edge_ends", "comps", "comp_ends")
+
+    def __init__(self):
+        self.scalars, self.edges, self.edge_ends, self.comps, self.comp_ends = [], [], [], [], []
+
+    def __len__(self):
+        return len(self.edge_ends)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]         # from the end if negative; IndexError past it
+        e, c = self.edges, self.comps
+        e0, c0 = (self.edge_ends[i - 1], self.comp_ends[i - 1]) if i else (0, 0)
+        v, base, target, admissible, lattice, backward = self.scalars[6 * i:6 * i + 6]
+        return StepRecord(
+            v, base, target,
+            [((e[k], e[k + 1]), e[k + 2]) for k in range(e0, self.edge_ends[i], 3)],
+            [(c[k], c[k + 1]) for k in range(c0, self.comp_ends[i], 2)],
+            admissible, lattice, backward)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        return type(other) is StepLog and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+
 class RunTrace(NamedTuple):
-    steps: list
+    steps: StepLog
     invariant_violations: list
-    base_edge_colours: dict
+    base_edge_colours: tuple        # each edge's base colour, in g.edges order
     notes: list
     fallback_count = 0              # not a field: no step falls back (`fallbacks` fields)
 
@@ -92,14 +131,17 @@ class _Run:
 
         self.colouring = base_total_colouring(g, params)
         self.vcol, self.ecol = self.colouring.vertex_colours, self.colouring.edge_colours
-        self.alterations = defaultdict(int)    # edge -> shifts so far, shifted edges only
+        # checked runs only: edge -> base colour, and -> shifts so far (shifted edges)
+        self.base_edge = dict(self.ecol) if check_invariants else None
+        self.alterations = defaultdict(int) if check_invariants else None
         self.anchor = {}
         self.target = {}
         self.owners = {}            # target sum -> bitmask of its processed holders
         self.shift = {}             # processed u -> shift of its next backward edge
         self.processed_mask = 0     # the processed vertices as a bitmask
         self.rings = {}             # four group sizes -> the rings built, end to end
-        self.trace = RunTrace([], [], dict(self.ecol), [])
+        # the base colours in g.edges order, the order the base colouring keys them
+        self.trace = RunTrace(StepLog(), [], tuple(self.ecol.values()), [])
 
     def _incident_edges(self, v):
         """One pass over v's edges, in ascending neighbour order, fixing each
@@ -209,18 +251,17 @@ class _Run:
 
         shift, need_big, need_small = offset
         target = w0 + shift
-        edge_deltas = []
-        compensations = []
+        log = self.trace.steps
+        edges, comps = log.edges, log.comps
         for count, unit in ((need_big, modulus), (need_small, step)):
             delta = unit if count >= 0 else -unit
             for key, u in groups[delta][:abs(count)]:
                 self.ecol[key] += delta
-                self.alterations[key] += 1
-                edge_deltas.append((key, delta))
+                edges += (*key, delta)
                 if u in self.shift:
                     self.vcol[u] -= delta
                     self.shift[u] = -delta
-                    compensations.append((u, -delta))
+                    comps += (u, -delta)
 
         self.vcol[v] = base
         self.anchor[v] = base
@@ -229,12 +270,13 @@ class _Run:
         self.shift[v] = -modulus if v in self.stats.big_set else -step
         self.processed_mask |= 1 << v
 
-        rec = StepRecord(v, base, target, edge_deltas, compensations,
-                         admissible_count, lattice_size, backward_r_count)
-        self.trace.steps.append(rec)
+        log.scalars += (v, base, target, admissible_count, lattice_size, backward_r_count)
+        log.edge_ends.append(len(edges))
+        log.comp_ends.append(len(comps))
         if self.check_invariants:
+            for key, _ in log[-1].edge_deltas:
+                self.alterations[key] += 1
             self._check_state(v, {v, *g.adjacency[v]})
-        return rec
 
     # -- invariants ----------------------------------------------------
 
@@ -245,7 +287,7 @@ class _Run:
         bad = self.trace.invariant_violations.append
         step, modulus = self.step, self.modulus
         vcol, ecol = self.vcol, self.ecol
-        base_edge = self.trace.base_edge_colours
+        base_edge = self.base_edge
         processed = self.shift
         for u in vertices:
             if u in processed:
@@ -326,7 +368,7 @@ def replay(g, trace):
     """Rebuild the final colouring from the base edge colours and the steps,
     each of which sets its own vertex's colour."""
     vcol = {}
-    ecol = dict(trace.base_edge_colours)
+    ecol = dict(zip(g.edges, trace.base_edge_colours))
     for rec in trace.steps:
         for key, delta in rec.edge_deltas:
             ecol[key] += delta

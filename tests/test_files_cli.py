@@ -8,9 +8,12 @@ import time
 
 import pytest
 
-from distsum import GraphError, TotalColouring, build_graph, cli, exact, files, generate, verify
+from distsum import (GraphError, TotalColouring, build_graph, cli, exact, files, generate,
+                     run, verify)
+from distsum.base_colouring import base_total_colouring
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
+from distsum.recolour import RunTrace, StepRecord, replay
 
 from conftest import forbid_every_base, src_env, write_lines
 
@@ -359,6 +362,49 @@ def test_emit_trace(tmp_path):
     assert trace[0].startswith("trace vertex_steps=5")
     assert sum(1 for line in trace if line.startswith("step ")) == 5
     assert not any(line.startswith("note ") for line in trace)
+
+
+_STEP_LINE = re.compile(r"step v=(\d+) colour=(\d+) sum=(\d+) options=(\d+)x(\d+) "
+                        r"backward=(\d+) edges=\[(.*)\] comps=\[(.*)\]")
+
+
+def _parse_step(line):
+    """A StepRecord read back from an --emit-trace step line."""
+    v, colour, total, admissible, lattice, backward, edges, comps = (
+        _STEP_LINE.fullmatch(line).groups())
+    edge_deltas = []
+    for item in filter(None, edges.split(";")):
+        ends, delta = item.split(":")
+        u, w = ends.split(",")
+        edge_deltas.append(((int(u), int(w)), int(delta)))
+    compensations = [(int(u), int(delta)) for u, delta in
+                     (item.split(":") for item in filter(None, comps.split(";")))]
+    return StepRecord(int(v), int(colour), int(total), edge_deltas, compensations,
+                      int(admissible), int(lattice), int(backward))
+
+
+@pytest.mark.parametrize("spec, radius", [
+    (["path", "5"], 2), (["regular-ish", "130", "36"], 2), (["gnp", "40", "0.15"], 3)],
+    ids=["path-r2", "regular-ish-r2", "gnp-r3"])
+def test_emit_trace_round_trip(tmp_path, spec, radius):
+    # the step lines read back are the run's records, and replayed over the
+    # base edge colours they rebuild the written colouring, which verifies
+    gpath, cpath, tpath = tmp_path / "g.txt", tmp_path / "c.txt", tmp_path / "trace.txt"
+    run_cli(["gen", *spec, "--seed", "1", "--output", str(gpath)])
+    code, _ = run_cli(["color", "--input", str(gpath), "--r", str(radius), "--seed", "1",
+                       "--output", str(cpath), "--emit-trace", str(tpath)])
+    assert code == 0
+    g = files.parse_graph(str(gpath))
+    steps = [_parse_step(line) for line in tpath.read_text().splitlines()
+             if line.startswith("step ")]
+    col, trace, _ = run(g, radius, 1)
+    assert steps == list(trace.steps)
+    base = base_total_colouring(g, col.params).edge_colours
+    replayed = replay(g, RunTrace(steps, [], tuple(base[key] for key in g.edges), []))
+    written = files.parse_colouring(str(cpath))[1]
+    assert replayed.vertex_colours == written.vertex_colours
+    assert replayed.edge_colours == written.edge_colours
+    assert verify(g, replayed, radius).passed
 
 
 def test_emit_trace_notes_radius_one(tmp_path):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from distsum import build_graph, check_conditions, ordering, resample_until_valid
-from distsum.generate import regular_ish, star
+from distsum.generate import complete, regular_ish, star
 from distsum.graphs import degree_stats
 from distsum.ordering import (checkable_vertices, condition_counts,
                               derive_ordering, failing_vertices,
@@ -43,12 +43,16 @@ def test_ordering_sorted_with_ties():
 
 
 def test_threshold_degree_8_empty_high_group():
-    # ln(8)/8**(1/3) is above 1, so every weight lands in the low group
+    # ln(8)/8**(1/3) is above 1, so every weight lands in the low group; the
+    # star has no checkable vertex, K9 has nine
     assert split_threshold(8) > 1.0
-    g = build_graph(9, [(1, v) for v in range(2, 10)])
-    checks = check_conditions(g, sample_weights(g, 3), 2)
-    for res in checks.values():
-        assert res["big_backward"] is None and res["backward_span"] is None
+    star_8 = build_graph(9, [(1, v) for v in range(2, 10)])
+    for g, checkable in ((star_8, 0), (complete(9), 9)):
+        checks = check_conditions(g, sample_weights(g, 3), 2)
+        assert len(checks) == checkable
+        for low_nbrs, big_backward, backward_span in checks.values():
+            assert isinstance(low_nbrs, bool)
+            assert big_backward is None and backward_span is None
 
 
 def test_threshold_degree_95():

@@ -13,7 +13,8 @@ from distsum import (backward_stats, build_graph, compute_params, generate,
                      ordering, resample_until_valid, run, verify)
 from distsum.generate import complete, regular_ish
 from distsum.graphs import all_r_neighbourhoods
-from distsum.recolour import RunError, _Run, replay
+from distsum.base_colouring import base_total_colouring
+from distsum.recolour import RunError, StepLog, StepRecord, _Run, replay
 
 from conftest import (apsp, component_graph, forbid_every_base, golden_graphs,
                       random_graph)
@@ -339,9 +340,11 @@ def test_colourings_key_edges_by_the_graphs_own_tuples(kind):
     assert set(KIND_SPECS) == set(generate.KINDS)
     g = generate.from_spec(kind, KIND_SPECS[kind], 1)
     col, trace, _ = run(g, 2, 1)
-    for table in (col.edge_colours, trace.base_edge_colours):
-        assert len(table) == g.m
-        assert all(map(operator.is_, table, g.edges))
+    assert len(col.edge_colours) == g.m
+    assert all(map(operator.is_, col.edge_colours, g.edges))
+    # the base colours hold no key at all: one colour per edge, in edge order
+    base = base_total_colouring(g, col.params).edge_colours
+    assert trace.base_edge_colours == tuple(base[key] for key in g.edges)
 
 
 @pytest.mark.parametrize("check", [False, True])
@@ -354,9 +357,43 @@ def test_alterations_count_the_shifted_edges_only(check):
         runner._check_state("all steps", g.vertices())
     shifted = Counter(key for rec in runner.trace.steps for key, _ in rec.edge_deltas)
     assert 0 < len(shifted) < g.m
-    # a plain dict on the right: the check reads no edge into the table
-    assert runner.alterations == dict(shifted)
+    if check:
+        # a plain dict on the right: the check reads no edge into the table
+        assert runner.alterations == dict(shifted)
+    else:
+        # only the invariant checker counts alterations
+        assert runner.alterations is None and runner.base_edge is None
     assert not runner.trace.invariant_violations
+
+
+def test_step_log_indexes_like_a_list():
+    g = random_graph(30, 0.15, 4)
+    log = run(g, 2, 4)[1].steps
+    records = [log[i] for i in range(len(log))]
+    assert len(log) == g.n
+    assert list(log) == records
+    assert [log[-i] for i in range(1, g.n + 1)] == records[::-1]
+    for i in (g.n, -g.n - 1):
+        with pytest.raises(IndexError):
+            log[i]
+    assert log == run(g, 2, 4)[1].steps
+    assert log != run(g, 2, 5)[1].steps
+    assert log != records and StepLog() == StepLog()
+
+
+def test_step_log_builds_each_record_from_its_own_runs():
+    # step 0 shifts nothing; step 1 shifts two edges and compensates one
+    # end, with a colour past 2**63
+    big = 2 ** 70
+    log = StepLog()
+    log.scalars += (4, 1, 9, 7, 1, 0, 2, big, big + 5, 6, 9, 1)
+    log.edge_ends += (0, 6)
+    log.comp_ends += (0, 2)
+    log.edges += (1, 2, 3, 2, 4, -big)
+    log.comps += (4, big)
+    assert list(log) == [
+        StepRecord(4, 1, 9, [], [], 7, 1, 0),
+        StepRecord(2, big, big + 5, [((1, 2), 3), ((2, 4), -big)], [(4, big)], 6, 9, 1)]
 
 
 def test_rejects_bad_radius(p3):
@@ -468,7 +505,8 @@ def test_ring_walk_matches_a_plain_sort(monkeypatch, make, radius, seen):
         return groups, forbidden, edge_sum
 
     def spied_step(runner, v):
-        rec = process(runner, v)
+        process(runner, v)
+        rec = runner.trace.steps[-1]
         sizes, forbidden, edge_sum, before = incident_seen[-1]
         order = [x[1:] for x in _sorted_lattice(runner, *sizes)]
         modulus = runner.params.modulus
@@ -484,7 +522,6 @@ def test_ring_walk_matches_a_plain_sort(monkeypatch, make, radius, seen):
             reached = len(order)
         # the rings kept: what earlier steps built, or up to where this one read
         assert len(runner.rings[sizes]) == max(before, reached), v
-        return rec
 
     def spied_grow(runner, sizes, offsets):
         before = len(offsets)
