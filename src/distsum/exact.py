@@ -6,7 +6,8 @@ vertex's weighted degree is decided as early as possible.  Before the search
 the schedule records, for each element, the earlier elements it must not
 share a colour with and the vertices it completes (colours their last
 element), and for each vertex, the elements that make up its weighted degree
-and its r-neighbours completed before it.
+and its r-neighbours completed before it, found by a search from the vertex
+(graphs.ball), not read off the construction's r-ball table.
 
 The search is one loop over a colour list: at each index it tries the next
 colour, in ascending order, that is proper against the element's earlier
@@ -23,7 +24,7 @@ weighted degrees, so fixing any element's colour could miss feasible palettes.
 from __future__ import annotations
 
 from .colouring import TotalColouring
-from .graphs import all_r_neighbourhoods
+from .graphs import ball
 
 
 def _schedule(g, radius):
@@ -33,8 +34,11 @@ def _schedule(g, radius):
     clashes[i] and completes[i] list element indices and vertices; parts[v]
     lists the element indices summed in v's weighted degree and earlier[v]
     the r-neighbours completed before v.  An edge precedes its later end's
-    vertex element, so each element completes at most one vertex.
+    vertex element, so each element completes at most one vertex.  Raises
+    ValueError below radius 1.
     """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
     elements = []
     for v in g.vertices():
         elements += [(u, v) for u in g.adjacency[v] if u < v]
@@ -54,8 +58,7 @@ def _schedule(g, radius):
     completes = [[] for _ in elements]
     for v in g.vertices():
         completes[done[v]].append(v)
-    nbrs_r = all_r_neighbourhoods(g, radius)
-    earlier = {v: [u for u in nbrs_r[v] if done[u] < done[v]]
+    earlier = {v: [u for u in ball(g, (v,), radius) if done[u] < done[v]]
                for v in g.vertices()}
     return elements, clashes, completes, parts, earlier
 

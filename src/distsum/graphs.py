@@ -116,16 +116,11 @@ class Ball(int):
     """A vertex set as an int bitmask, bit u set for each member u.
 
     It is an int, so `&` with another mask and `bit_count()` work as on any
-    int; `len` is the member count and iteration yields the members in
-    ascending order.
+    int; `len` is the member count, which the benchmark's tracer reads.
     """
 
     __slots__ = ()
     __len__ = int.bit_count
-
-    def __iter__(self):
-        bits = format(self, "b")[::-1]
-        return (u for u, bit in enumerate(bits) if bit == "1")
 
 
 def all_r_neighbourhoods(g, radius):

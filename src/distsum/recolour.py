@@ -15,9 +15,10 @@ endpoint's fixed sum, so nothing settled is ever disturbed.  A processed u
 only ever holds its anchor a or a + unit, the unit being the modulus for a
 big u and the step for a small one: its two-colour envelope.  So the run
 keeps one signed shift per processed vertex, the one its next backward edge
-takes: -unit at the vertex's own step, negated at each compensation.  The
-base colouring colours the edges only: each vertex takes its colour at its
-own step, which reads the colours of processed vertices only.
+takes: -unit at the vertex's own step, negated at each compensation, so it
+is +unit just when u sits at a + unit and u's colour less max(shift, 0) is
+a.  The base colouring colours the edges only: each vertex takes its colour
+at its own step, which reads the colours of processed vertices only.
 
 Counting argument.  The candidate sums for v are base + (sum of its edge
 colours) + i * modulus + j * step, over the admissible bases in
@@ -31,15 +32,16 @@ above the backward r-neighbour count.  Each step record keeps those three
 counts; the backward count is the number of processed r-neighbours, the bit
 count of v's r-ball ANDed with the processed vertices.  The options overcount
 the distinct sums, since different bases and offsets can give one sum, so
-the margin read off the records is an upper bound.  A candidate sum w is taken when its owners, the
-bitmask of processed vertices holding w, meet v's r-ball.  A step that
-still finds no free sum raises RunError rather than lift a base colour past
-the modulus.
+the margin read off the records is an upper bound.  A candidate sum w is
+taken when its owners, the bitmask of processed vertices holding w, meet
+v's r-ball.  A step that still finds no free sum raises RunError rather than
+lift a base colour past the modulus.
 
 The run keeps its records flat: a StepLog holds each step's scalars and its
 runs of edge shifts and compensations as plain ints, and builds a StepRecord
 only when read; the base edge colours are one tuple in g.edges order.  Only a
-checked run keys base colours by edge and counts each edge's shifts.
+checked run keys base colours by edge, counts each edge's shifts and keeps
+each processed vertex's anchor and target sum.
 
 Each step tries the lattice offsets nearest first, by L1 distance |i| + |j|
 then shift: ring by ring, each sorted on its own, out from ring 0, (0, 0).
@@ -131,11 +133,11 @@ class _Run:
 
         self.colouring = base_total_colouring(g, params)
         self.vcol, self.ecol = self.colouring.vertex_colours, self.colouring.edge_colours
-        # checked runs only: edge -> base colour, and -> shifts so far (shifted edges)
+        # every run holds a processed u as vcol[u] and shift[u]; checked runs only:
+        # edge -> base colour and -> shifts so far, u -> anchor and -> target sum
         self.base_edge = dict(self.ecol) if check_invariants else None
         self.alterations = defaultdict(int) if check_invariants else None
-        self.anchor = {}
-        self.target = {}
+        self.anchor, self.target = ({}, {}) if check_invariants else (None, None)
         self.owners = {}            # target sum -> bitmask of its processed holders
         self.shift = {}             # processed u -> shift of its next backward edge
         self.processed_mask = 0     # the processed vertices as a bitmask
@@ -154,8 +156,7 @@ class _Run:
         step, modulus = self.step, self.modulus
         big_set = self.stats.big_set
         v_big = v in big_set
-        ecol = self.ecol
-        shift_of, anchor = self.shift, self.anchor
+        vcol, ecol, shift_of = self.vcol, self.ecol, self.shift
         # v's colour ends up at base or base + step modulo the modulus, so a
         # base b is forbidden when b or b + step meets a processed neighbour's
         # {anchor, anchor + step} or a residue an incident edge can reach.
@@ -168,7 +169,7 @@ class _Run:
             edge_sum += colour
             if u in shift_of:
                 shift = shift_of[u]
-                a = anchor[u]
+                a = vcol[u] - shift if shift > 0 else vcol[u]     # u's anchor
                 forbidden.update(((a - step) % modulus, a % modulus,
                                   (a + step) % modulus))
             elif not v_big and u in big_set:
@@ -264,8 +265,6 @@ class _Run:
                     comps += (u, -delta)
 
         self.vcol[v] = base
-        self.anchor[v] = base
-        self.target[v] = target
         self.owners[target] = holders(target, 0) | 1 << v
         self.shift[v] = -modulus if v in self.stats.big_set else -step
         self.processed_mask |= 1 << v
@@ -274,6 +273,7 @@ class _Run:
         log.edge_ends.append(len(edges))
         log.comp_ends.append(len(comps))
         if self.check_invariants:
+            self.anchor[v], self.target[v] = base, target
             for key, _ in log[-1].edge_deltas:
                 self.alterations[key] += 1
             self._check_state(v, {v, *g.adjacency[v]})
@@ -296,6 +296,8 @@ class _Run:
                 unit = modulus if u in self.stats.big_set else step
                 if vcol[u] not in (self.anchor[u], self.anchor[u] + unit):
                     bad(f"after {label}: colour of {u} left its envelope")
+                if vcol[u] != self.anchor[u] + max(processed[u], 0):
+                    bad(f"after {label}: colour of {u} does not match its shift")
                 if self.anchor[u] > modulus:
                     bad(f"after {label}: anchor of {u} above the modulus")
             incident = []

@@ -67,6 +67,15 @@ def test_radius_below_one_refused(p3, radius):
         search(p3, radius, 4)
 
 
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_exact_builds_no_r_ball_table(radius):
+    # the oracle finds r-neighbours by its own search, apart from the table
+    # the construction reads
+    g = random_graph(7, 0.4, radius)
+    exact_chi(g, radius, g.max_degree + 3)
+    assert ("r_neighbourhoods", radius) not in g._tables
+
+
 def test_limit_sentinel(p3):
     assert exact_chi(p3, 2, 3) == (None, None)
 

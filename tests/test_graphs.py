@@ -72,21 +72,26 @@ def test_adjacency_is_ascending_tuple_of_edge_neighbours(name):
         assert g.adjacency[v] == tuple(sorted(nbrs[v]))
 
 
+def _members(mask):
+    """The vertices whose bits are set in an r-ball mask, ascending."""
+    return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
+
+
 def test_r_neighbourhood_p3(p3):
-    assert set(all_r_neighbourhoods(p3, 1)[1]) == {2}
-    assert set(all_r_neighbourhoods(p3, 2)[1]) == {2, 3}
+    assert set(_members(all_r_neighbourhoods(p3, 1)[1])) == {2}
+    assert set(_members(all_r_neighbourhoods(p3, 2)[1])) == {2, 3}
 
 
 def test_r_neighbourhood_c5(c5):
     # oracle: all-pairs shortest paths
     dist = apsp(c5)
     expected = {u for u, d in dist[1].items() if 1 <= d <= 2}
-    assert set(all_r_neighbourhoods(c5, 2)[1]) == expected == {2, 3, 4, 5}
+    assert set(_members(all_r_neighbourhoods(c5, 2)[1])) == expected == {2, 3, 4, 5}
 
 
 def test_r_neighbourhood_disconnected():
     g = build_graph(4, [(1, 2), (3, 4)])
-    assert set(all_r_neighbourhoods(g, 3)[1]) == {2}
+    assert set(_members(all_r_neighbourhoods(g, 3)[1])) == {2}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -96,7 +101,7 @@ def test_r_neighbourhood_matches_apsp(seed):
     for r in (1, 2, 3):
         for v in g.vertices():
             expected = {u for u, d in dist[v].items() if 1 <= d <= r}
-            assert set(all_r_neighbourhoods(g, r)[v]) == expected
+            assert set(_members(all_r_neighbourhoods(g, r)[v])) == expected
 
 
 def test_neighbourhood_size_bounds():
@@ -207,7 +212,7 @@ def _as_tuples(table):
     """An r-ball table as the reference form: each entry's members as a
     sorted tuple, checked against the entry's len, which the benchmark's
     tracer reads."""
-    members = [tuple(b) for b in table]
+    members = [_members(b) for b in table]
     assert [len(b) for b in table] == [len(t) for t in members]
     return members
 

@@ -240,6 +240,23 @@ def test_invariant_checker_envelope_has_two_colours():
     assert f"after fault: colour of {big} left its envelope" in found
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_invariant_checker_reports_flipped_shift(seed):
+    # a step reads a processed neighbour's anchor off its colour and shift,
+    # so a flipped shift is reported at the first later step next to it
+    runner = _half_run(seed)
+    g, shift = runner.g, runner.shift
+    u = min(v for v in shift if set(g.adjacency[v]) - shift.keys())
+    shift[u] = -shift[u]
+    rest = resample_until_valid(g, 2, seed).ordering[g.n // 2:]
+    for v in rest:
+        runner.process_vertex(v)
+    w = next(v for v in rest if v in g.adjacency[u])
+    found = runner.trace.invariant_violations
+    assert found[0].startswith(f"after {w}: ")
+    assert f"after {w}: colour of {u} does not match its shift" in found
+
+
 def _inject(monkeypatch, fault):
     """Call fault(runner, v) before every step of the runs that follow."""
     step = _Run.process_vertex
@@ -361,8 +378,9 @@ def test_alterations_count_the_shifted_edges_only(check):
         # a plain dict on the right: the check reads no edge into the table
         assert runner.alterations == dict(shifted)
     else:
-        # only the invariant checker counts alterations
+        # only the invariant checker counts alterations and keeps anchors
         assert runner.alterations is None and runner.base_edge is None
+        assert runner.anchor is None and runner.target is None
     assert not runner.trace.invariant_violations
 
 
