@@ -17,7 +17,7 @@ import sys
 from . import exact as exact_mod
 from . import files, generate, recolour
 from .ordering import CONDITIONS, resample_until_valid
-from .palette import check_disjoint_shifts, compute_params, headline_bound
+from .palette import MIN_RADIUS, check_disjoint_shifts, compute_params, headline_bound
 from .verify import verify
 
 
@@ -32,13 +32,13 @@ def _write(text, path, out):
 
 def _print_palette(args, out):
     # the float bound refuses a huge (delta, r) before the exact arithmetic
-    bound = headline_bound(args.delta, args.r)
+    headline_bound(args.delta, args.r)
     params = compute_params(args.delta, args.r)
     ok, witness = check_disjoint_shifts(params)
     rows = [("max degree", args.delta), ("radius", args.r),
             ("step", params.step), ("modulus", params.modulus),
             ("palette size", params.size), ("palette max", params.palette_max),
-            ("headline bound", f"{bound:.1f}")]
+            ("headline bound", f"{params.headline_bound:.1f}")]
     out.write(f"palette delta={args.delta} r={args.r} step={params.step} "
               f"modulus={params.modulus} size={params.size} "
               f"palette_max={params.palette_max} shifts_disjoint={str(ok).lower()}\n")
@@ -62,7 +62,7 @@ def _cmd_gen(args, out):
 def _cmd_order(args, out):
     g = files.parse_graph(args.input)
     cert = resample_until_valid(g, args.r, args.seed)
-    out.write(f"cert seed={cert.seed} r={max(args.r, 2)} rounds={cert.resample_rounds} "
+    out.write(f"cert seed={cert.seed} r={max(args.r, MIN_RADIUS)} rounds={cert.resample_rounds} "
               f"valid={str(cert.valid).lower()} threshold={cert.split_threshold:.12g}\n")
     for v in g.vertices():
         out.write(f"x {v} {cert.weights[v]!r}\n")
@@ -174,7 +174,7 @@ def run_experiment(grid):
             params = colouring.params
             row = (kind, ",".join(params_args), g.n, g.m, g.max_degree,
                    radius, seed, report.max_colour,
-                   f"{headline_bound(params.max_degree, params.radius):.1f}",
+                   f"{params.headline_bound:.1f}",
                    params.palette_max, trace.fallback_count,
                    str(cert.valid).lower(),
                    "pass" if report.passed else "fail")

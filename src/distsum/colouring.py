@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .graphs import edge_key
@@ -25,4 +26,4 @@ class TotalColouring(NamedTuple):
             self.edge_colours[edge_key(v, u)] for u in g.adjacency[v])
 
     def max_colour(self):
-        return max([*self.vertex_colours.values(), *self.edge_colours.values()], default=0)
+        return max(chain(self.vertex_colours.values(), self.edge_colours.values()), default=0)

@@ -9,8 +9,8 @@ underlying events -- until all conditions hold or a round budget runs out.
 The certificate records the outcome either way.
 
 The conditions are stated for large max degree and are applied from max
-degree MIN_DEGREE = 2 on, the floor the palette arithmetic uses too.  Below
-it no vertex is checked and every weight is high: at max degree 1 the
+degree palette.MIN_DEGREE on, the floor of the palette arithmetic.  Below it
+no vertex is checked and every weight is high: at max degree 1 the
 backward_span cap is w < 1, which the later endpoint of every edge fails
 whatever the weights.
 """
@@ -22,10 +22,9 @@ import random
 from typing import NamedTuple
 
 from .graphs import all_r_neighbourhoods, backward_stats, ball, degree_stats
-from .palette import headline_bound
+from .palette import MIN_DEGREE, MIN_RADIUS, headline_bound
 
 DEFAULT_MAX_ROUNDS = 1000
-MIN_DEGREE = 2
 
 # The conditions, in the order of each OrderingCertificate.checks tuple:
 #   low_nbrs       cap on r-neighbours inside the low group
@@ -53,7 +52,8 @@ def split_threshold(max_degree):
 
 
 def derive_ordering(g, weights):
-    return sorted(g.vertices(), key=lambda v: (weights[v], v))
+    # stable, from ascending ids: ties keep id order
+    return sorted(g.vertices(), key=weights.__getitem__)
 
 
 def checkable_vertices(g, stats):
@@ -76,8 +76,8 @@ def condition_counts(g, weights, radius):
     counts come from backward_stats.  A radius past the float range is
     refused (PaletteError) before any table is built.
     """
-    if radius < 2:
-        raise ValueError("ordering conditions need radius >= 2")
+    if radius < MIN_RADIUS:
+        raise ValueError(f"ordering conditions need radius >= {MIN_RADIUS}")
     headline_bound(max(g.max_degree, MIN_DEGREE), radius)
     tau = split_threshold(g.max_degree)
     balls = all_r_neighbourhoods(g, radius)
@@ -128,9 +128,9 @@ def failing_vertices(checks):
 def resample_until_valid(g, radius, seed):
     """Sample weights and locally resample until all conditions hold.
 
-    Radius 1 runs as radius 2.  A radius below 1 is refused (ValueError)
-    before any weight is drawn, and one past the float range (PaletteError)
-    before any table is built.  Each round redraws the weights of every
+    A radius below palette's MIN_RADIUS runs as MIN_RADIUS.  A radius below 1
+    is refused (ValueError) before any weight is drawn, and one past the
+    float range (PaletteError) before any table is built.  Each round redraws the weights of every
     vertex within distance 2 * radius of a failing vertex, then re-evaluates
     every condition.  A condition reads only weights within distance radius
     of its vertex, so only those near a redraw can change; condition_counts
@@ -140,7 +140,7 @@ def resample_until_valid(g, radius, seed):
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    radius = max(radius, 2)
+    radius = max(radius, MIN_RADIUS)
     rng = random.Random(seed)
     weights = {v: rng.random() for v in g.vertices()}
     checks = check_conditions(g, weights, radius)

@@ -1,7 +1,7 @@
 """Exact integer arithmetic for the palette objects behind the colouring.
 
-The construction needs three things for a given max degree D >= 2 and
-radius r >= 2:
+The construction needs three things for a given max degree D >= MIN_DEGREE
+and radius r >= MIN_RADIUS, both 2:
 
 * ``step`` -- the small colour increment ceil(D**(r - 4/3) * ln(D)**2).  The
   value is bracketed between exact rational bounds (an integer cube root for
@@ -13,6 +13,11 @@ radius r >= 2:
   blocks of consecutive integers, whose four-element shifted sets are
   pairwise disjoint modulo the modulus.  The check works on the blocks, so
   its cost does not grow with D.
+
+PaletteParams also carries the headline bound, the real-valued palette size
+the construction targets.  A run whose max degree or radius is below the
+floor uses the palette at MIN_DEGREE or MIN_RADIUS; the other modules read
+the floor from here.
 
 Only the standard library is used and every value is a plain Python
 integer, so there is neither overflow nor a precision limit: any D and r
@@ -31,6 +36,9 @@ from typing import NamedTuple
 class PaletteError(ValueError):
     """Invalid palette parameters."""
 
+
+# The least max degree and radius the palette arithmetic is defined for.
+MIN_DEGREE = MIN_RADIUS = 2
 
 # Edge-palette blocks allowed: r = 2 needs about D**(1/3) / ln(D)**2, r >= 3 one.
 MAX_INTERVALS = 10 ** 5
@@ -87,7 +95,8 @@ class PaletteParams(NamedTuple):
     ``intervals`` stores the edge palette as inclusive (lo, hi) ranges so the
     object stays small even for astronomical degrees; ``elements`` yields it
     in ascending order on demand, and edge colour index j takes its j-th
-    element.
+    element.  ``headline_bound`` is headline_bound(max_degree, radius), None
+    in hand-built params.
     """
 
     max_degree: int
@@ -96,6 +105,7 @@ class PaletteParams(NamedTuple):
     modulus: int
     intervals: tuple
     palette_max: int
+    headline_bound: float = None
 
     @property
     def size(self):
@@ -108,10 +118,11 @@ class PaletteParams(NamedTuple):
 
 
 def compute_params(max_degree, radius):
-    """Build the palette parameters for a max degree >= 2 and radius >= 2;
-    PaletteError outside that domain or past the float range (both checked
-    first, by headline_bound) or past MAX_INTERVALS edge-palette blocks."""
-    headline_bound(max_degree, radius)
+    """Build the palette parameters for a max degree >= MIN_DEGREE and radius
+    >= MIN_RADIUS; PaletteError outside that domain or past the float range
+    (both checked first, by headline_bound) or past MAX_INTERVALS
+    edge-palette blocks."""
+    headline = headline_bound(max_degree, radius)
     step = _step_value(max_degree, radius)
     bound = max_degree ** (radius - 1) + 6 * max_degree + step
     modulus = -(-bound // step) * step
@@ -133,7 +144,7 @@ def compute_params(max_degree, radius):
     intervals.append((lo, lo + count - (nblocks - 1) * step - 1))
     palette_max = 2 * modulus + step + 4 * max_degree + 1
     return PaletteParams(max_degree, radius, step, modulus,
-                         tuple(intervals), palette_max)
+                         tuple(intervals), palette_max, headline)
 
 
 def shifted_set(value, step):
@@ -179,11 +190,11 @@ def check_disjoint_shifts(params):
 def headline_bound(max_degree, radius):
     """Real-valued palette bound the construction targets asymptotically:
     2*D^(r-1) + 5*D^(r-4/3)*ln(D)^2 + 16*D + 6; PaletteError outside
-    D >= 2, r >= 2 or past the float range."""
-    if max_degree < 2:
-        raise PaletteError(f"max_degree must be >= 2, got {max_degree}")
-    if radius < 2:
-        raise PaletteError(f"radius must be >= 2, got {radius}")
+    D >= MIN_DEGREE, r >= MIN_RADIUS or past the float range."""
+    if max_degree < MIN_DEGREE:
+        raise PaletteError(f"max_degree must be >= {MIN_DEGREE}, got {max_degree}")
+    if radius < MIN_RADIUS:
+        raise PaletteError(f"radius must be >= {MIN_RADIUS}, got {radius}")
     try:
         if (max_degree.bit_length() - 1) * (radius - 1) >= 1024:
             raise OverflowError     # D^(r-1) >= 2^1024: no exact power needed

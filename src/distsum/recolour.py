@@ -62,7 +62,7 @@ from .base_colouring import base_total_colouring
 from .colouring import TotalColouring
 from .graphs import all_r_neighbourhoods, degree_stats, edge_key
 from .ordering import failing_vertices, resample_until_valid
-from .palette import compute_params, shifted_set
+from .palette import MIN_DEGREE, MIN_RADIUS, compute_params, shifted_set
 
 
 class StepRecord(NamedTuple):
@@ -123,13 +123,13 @@ class RunError(RuntimeError):
 
 
 class _Run:
-    def __init__(self, g, radius, params, check_invariants=False):
+    def __init__(self, g, params, balls, check_invariants=False):
         self.g = g
         self.params = params
         self.step, self.modulus = params.step, params.modulus
         self.check_invariants = check_invariants
         self.stats = degree_stats(g)
-        self.balls = all_r_neighbourhoods(g, radius)
+        self.balls = balls          # all_r_neighbourhoods(g, radius), built by run
 
         self.colouring = base_total_colouring(g, params)
         self.vcol, self.ecol = self.colouring.vertex_colours, self.colouring.edge_colours
@@ -326,33 +326,35 @@ class _Run:
 
 
 def run(g, radius, seed, check_invariants=False):
-    """Full pipeline: parameters, base edge colouring, ordering, recolouring.
+    """Full pipeline: palette parameters, the r-ball table, ordering, base
+    edge colouring, recolouring steps and, if asked, the final checks.
 
     Returns (TotalColouring, RunTrace, OrderingCertificate); raises RunError
     when a step finds no free target sum, ValueError below radius 1, and
-    PaletteError, before any exact arithmetic, when the headline bound at
-    (max(max degree, 2), max(radius, 2)) overflows a float.  With
-    check_invariants, each step is checked at its vertex and neighbours, and
-    every vertex once after the last step; broken invariants go to
+    PaletteError, before any exact arithmetic, when the headline bound at the
+    max degree and radius, each raised to palette's floor (MIN_DEGREE,
+    MIN_RADIUS), overflows a float.  The steps read the r-ball table built
+    here through _Run; from MIN_RADIUS up, the ordering reads the same table
+    back from the graph's cache.
+    With check_invariants, each step is checked at its vertex and neighbours,
+    and every vertex once after the last step; broken invariants go to
     trace.invariant_violations.  Radius 1 is accepted; the palette arithmetic
-    then uses radius 2 (noted in trace.notes, as is a max degree below 2).  A
-    certificate still invalid when the round budget runs out is noted as
-    "ordering certificate not fully valid: K failing vertices after R
-    rounds", and the run goes on with its ordering.  Identical (graph,
-    radius, seed) inputs give identical outputs.
+    then uses MIN_RADIUS (noted in trace.notes, as is a max degree below
+    MIN_DEGREE).  A certificate still invalid when the round budget runs out
+    is noted as "ordering certificate not fully valid: K failing vertices
+    after R rounds", and the run goes on with its ordering.  Identical
+    (graph, radius, seed) inputs give identical outputs.
     """
-    eff_degree = max(g.max_degree, 2)
-    eff_radius = max(radius, 2)
-    params = compute_params(eff_degree, eff_radius)
+    params = compute_params(max(g.max_degree, MIN_DEGREE), max(radius, MIN_RADIUS))
+    balls = all_r_neighbourhoods(g, radius)
     cert = resample_until_valid(g, radius, seed)
-
-    runner = _Run(g, radius, params, check_invariants)
-    if radius != eff_radius:
+    runner = _Run(g, params, balls, check_invariants)
+    if radius != params.radius:
         runner.trace.notes.append(
-            f"radius {radius} run with radius-{eff_radius} palette arithmetic")
-    if g.max_degree != eff_degree:
+            f"radius {radius} run with radius-{params.radius} palette arithmetic")
+    if g.max_degree != params.max_degree:
         runner.trace.notes.append(
-            f"max degree {g.max_degree} run with degree-{eff_degree} palette arithmetic")
+            f"max degree {g.max_degree} run with degree-{params.max_degree} palette arithmetic")
     if not cert.valid:
         runner.trace.notes.append(
             "ordering certificate not fully valid: "

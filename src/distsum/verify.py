@@ -17,7 +17,9 @@ colours, which also sums its weighted degree.  Only a vertex whose colours
 repeat is grouped by colour, and each group of two or more edges yields every
 pair in it as an adjacent-edges witness, in the order a scan of all pairs
 would find them.  Colours below 1 cost one C-level min() over each colour
-map; only a colouring that has one is scanned element by element.
+map; only a colouring that has one is scanned element by element.  The
+completeness check allocates nothing: it looks each vertex and edge up in
+the colour maps, and builds the set of missing ones only to name one.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def verify(g, colouring, radius, bound=None):
     vcol = colouring.vertex_colours
     ecol = colouring.edge_colours
     for name, own, given in (("vertex", g.vertices(), vcol), ("edge", g.edges, ecol)):
-        missing = own - given.keys()
-        if missing:
+        if not all(map(given.__contains__, own)):
+            missing = own - given.keys()
             raise IncompleteColouringError(f"{name} {min(missing)} has no colour")
         if len(given) > len(own):
             foreign = min(given.keys() - own)

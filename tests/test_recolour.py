@@ -162,7 +162,8 @@ def _half_run(seed):
     """A checked run stopped after half its ordering."""
     g = random_graph(30, 0.15, seed)
     cert = resample_until_valid(g, 2, seed)
-    runner = _Run(g, 2, compute_params(g.max_degree, 2), check_invariants=True)
+    runner = _Run(g, compute_params(g.max_degree, 2), all_r_neighbourhoods(g, 2),
+                  check_invariants=True)
     for v in cert.ordering[:g.n // 2]:
         runner.process_vertex(v)
     assert not runner.trace.invariant_violations
@@ -367,7 +368,8 @@ def test_colourings_key_edges_by_the_graphs_own_tuples(kind):
 @pytest.mark.parametrize("check", [False, True])
 def test_alterations_count_the_shifted_edges_only(check):
     g = regular_ish(80, 6, 3)
-    runner = _Run(g, 3, compute_params(g.max_degree, 3), check_invariants=check)
+    runner = _Run(g, compute_params(g.max_degree, 3), all_r_neighbourhoods(g, 3),
+                  check_invariants=check)
     for v in resample_until_valid(g, 3, 3).ordering:
         runner.process_vertex(v)
     if check:
@@ -415,7 +417,7 @@ def test_step_log_builds_each_record_from_its_own_runs():
 
 
 def test_rejects_bad_radius(p3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="radius must be >= 1"):
         run(p3, 0, 1)
 
 
@@ -483,7 +485,8 @@ def _sorted_lattice(runner, big_neg, big_pos, small_neg, small_pos):
 @pytest.mark.parametrize("degree, radius", [(150, 2), (20, 3), (6, 2)])
 def test_ring_walk_is_the_sorted_lattice(degree, radius):
     # modulus / step is 3, 2 and 5 here, so shifts tie inside a ring
-    runner = _Run(complete(2), 2, compute_params(degree, radius))
+    g = complete(2)
+    runner = _Run(g, compute_params(degree, radius), all_r_neighbourhoods(g, 2))
     rng = random.Random(degree)
     shapes = list(product(range(5), repeat=4))
     shapes += [tuple(rng.randint(0, 40) for _ in range(4)) for _ in range(40)]

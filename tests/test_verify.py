@@ -1,10 +1,13 @@
 import importlib
 import random
+import sys
 import time
+import tracemalloc
 
 import pytest
 
 from distsum import TotalColouring, build_graph, run, verify
+from distsum.generate import complete, regular_ish
 from distsum.graphs import edge_key
 from distsum.verify import IncompleteColouringError
 
@@ -65,6 +68,9 @@ def test_colours_below_one(k2, p3):
     assert verify(p3, col, 1, bound=3).violations == [
         ("colour-below-one", 2), ("colour-below-one", 3),
         ("colour-below-one", (2, 3)), ("bound-exceeded", (4, 3))]
+    # no edge: the max colour is the vertex's own, not the empty edge map's 0
+    report = verify(build_graph(1, []), TotalColouring({1: -3}, {}), 1)
+    assert report == (-3, [("colour-below-one", 1)])
 
 
 def test_closed_balls_stop_growing_at_a_huge_radius(k2):
@@ -78,10 +84,27 @@ def test_closed_balls_stop_growing_at_a_huge_radius(k2):
 
 
 def test_incomplete_colouring(p3):
-    with pytest.raises(IncompleteColouringError):
+    with pytest.raises(IncompleteColouringError, match="^vertex 3 has no colour$"):
         verify(p3, TotalColouring({1: 1, 2: 2}, {(1, 2): 3, (2, 3): 4}), 1)
-    with pytest.raises(IncompleteColouringError):
+    with pytest.raises(IncompleteColouringError, match=r"^edge \(2, 3\) has no colour$"):
         verify(p3, TotalColouring({1: 1, 2: 2, 3: 3}, {(1, 2): 5}), 1)
+
+
+@pytest.mark.parametrize("make", [lambda: regular_ish(130, 36, 1), lambda: complete(40)],
+                         ids=["regular-ish 130 36", "complete 40"])
+def test_verify_does_not_copy_the_colouring(make):
+    # all n sums differ at r = 2, so no ball table is built either: a check
+    # that copies the edge map or the colours would reach half of its size
+    g = make()
+    colouring, _, _ = run(g, 2, 1)
+    tracemalloc.start()
+    try:
+        report = verify(g, colouring, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < sys.getsizeof(colouring.edge_colours) / 2
 
 
 @pytest.mark.parametrize("vcol,ecol,msg", [
