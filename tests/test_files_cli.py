@@ -407,17 +407,25 @@ def test_emit_trace_round_trip(tmp_path, spec, radius):
     assert verify(g, replayed, radius).passed
 
 
-_RADIUS_NOTE = "note radius 1 run with radius-2 palette arithmetic"
+def test_emit_trace_notes_radius_one(tmp_path):
+    gpath, tpath = tmp_path / "g.txt", tmp_path / "trace.txt"
+    run_cli(["gen", "path", "5", "--output", str(gpath)])
+    code, _ = run_cli(["color", "--input", str(gpath), "--r", "1", "--seed", "2",
+                       "--output", str(tmp_path / "c.txt"),
+                       "--emit-trace", str(tpath)])
+    assert code == 0
+    notes = [line for line in tpath.read_text().splitlines()
+             if line.startswith("note ")]
+    assert notes == ["note radius 1 run with radius-2 palette arithmetic"]
 
 
 @pytest.mark.parametrize("graph,radius,expected", [
-    ("path 5", "1", [_RADIUS_NOTE]),
     ("complete 2", "2", ["note max degree 1 run with degree-2 palette arithmetic"]),
-    ("complete 2", "1", [_RADIUS_NOTE,
+    ("complete 2", "1", ["note radius 1 run with radius-2 palette arithmetic",
                          "note max degree 1 run with degree-2 palette arithmetic"]),
     ("p 1 0", "2", ["note max degree 0 run with degree-2 palette arithmetic"]),
-], ids=["p5-r1", "k2-r2", "k2-r1", "k1-r2"])
-def test_emit_trace_notes_radius_one(tmp_path, graph, radius, expected):
+], ids=["k2-r2", "k2-r1", "k1-r2"])
+def test_emit_trace_notes_degree_floor(tmp_path, graph, radius, expected):
     # a run below palette's (2, 2) floor notes each raised value, radius first
     gpath, tpath = tmp_path / "g.txt", tmp_path / "trace.txt"
     if graph.startswith("p "):
