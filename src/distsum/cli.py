@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error or a
 refused run (RunError, or an exact search past its trial budget), 141
 stdout closed early by its reader (as after SIGPIPE), with nothing written
 to stderr.
+
+A command parses its arguments, calls the pipeline and prints.  The
+modules it calls check their own inputs: generate.from_spec a graph spec,
+for gen and for each experiment grid row; palette.compute_params the
+(delta, r) bound; and the ordering certificate states the radius it ran.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import sys
 from . import exact as exact_mod
 from . import files, generate, recolour
 from .ordering import CONDITIONS, resample_until_valid
-from .palette import MIN_RADIUS, check_disjoint_shifts, compute_params, headline_bound
+from .palette import check_disjoint_shifts, compute_params
 from .verify import verify
 
 
@@ -31,8 +36,6 @@ def _write(text, path, out):
 
 
 def _print_palette(args, out):
-    # the float bound refuses a huge (delta, r) before the exact arithmetic
-    headline_bound(args.delta, args.r)
     params = compute_params(args.delta, args.r)
     ok, witness = check_disjoint_shifts(params)
     rows = [("max degree", args.delta), ("radius", args.r),
@@ -62,7 +65,7 @@ def _cmd_gen(args, out):
 def _cmd_order(args, out):
     g = files.parse_graph(args.input)
     cert = resample_until_valid(g, args.r, args.seed)
-    out.write(f"cert seed={cert.seed} r={max(args.r, MIN_RADIUS)} rounds={cert.resample_rounds} "
+    out.write(f"cert seed={cert.seed} r={cert.radius} rounds={cert.resample_rounds} "
               f"valid={str(cert.valid).lower()} threshold={cert.split_threshold:.12g}\n")
     for v in g.vertices():
         out.write(f"x {v} {cert.weights[v]!r}\n")
@@ -138,37 +141,38 @@ EXPERIMENT_COLUMNS = ("kind", "params", "n", "m", "maxdeg", "r", "seed",
 
 
 def parse_grid_lines(lines):
-    """Grid rows '<kind> <size params...> <r> <seed>', read by files.records."""
+    """Grid rows '<kind> <size params...> <r> <seed>', read by files.records.
+
+    Checks the grid's own syntax, integer r >= 1 and seed, and builds each
+    row's graph once with generate.from_spec, which checks the spec.  Any
+    refusal is a FormatError naming its line.  Returns (kind, size params,
+    r, seed, graph) rows.
+    """
     grid = []
     for lineno, fields in files.records(lines):
-        kind = fields[0]
-        if kind not in generate.KINDS:
-            raise files.FormatError(f"line {lineno}: unknown kind {kind!r}")
-        types = generate.KINDS[kind][1]
-        if len(fields) != len(types) + 3:
-            raise files.FormatError(
-                f"line {lineno}: {kind} takes {len(types)} size parameters, r, seed")
         try:
-            for convert, arg in zip(types, fields[1:]):
-                convert(arg)
-            radius, seed = int(fields[-2]), int(fields[-1])
+            kind, *size, radius, seed = fields
+            radius, seed = int(radius), int(seed)
         except ValueError:
-            names = ", ".join(convert.__name__ for convert in types)
             raise files.FormatError(
-                f"line {lineno}: {kind} takes {names} size parameters, "
-                f"integer r and seed") from None
+                f"line {lineno}: a grid row is <kind> <size params...> <r> <seed>, "
+                f"with integer r and seed") from None
         if radius < 1:
             raise files.FormatError(f"line {lineno}: radius must be >= 1")
-        grid.append((kind, fields[1:-2], radius, seed))
+        try:
+            g = generate.from_spec(kind, size, seed)
+        except ValueError as exc:
+            raise files.FormatError(f"line {lineno}: {exc}") from None
+        grid.append((kind, size, radius, seed, g))
     return grid
 
 
 def run_experiment(grid):
-    """Run the full pipeline per grid row; failures become rows too."""
+    """Run the full pipeline on each parse_grid_lines row; a run that fails
+    becomes an error row."""
     rows = [EXPERIMENT_COLUMNS]
-    for kind, params_args, radius, seed in grid:
+    for kind, params_args, radius, seed, g in grid:
         try:
-            g = generate.from_spec(kind, params_args, seed)
             colouring, trace, cert = recolour.run(g, radius, seed)
             report = verify(g, colouring, radius)
             params = colouring.params

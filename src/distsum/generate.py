@@ -70,11 +70,21 @@ KINDS = {
 
 
 def from_spec(kind, args, seed):
-    """Dispatch used by the CLI: kind name plus positional size parameters."""
+    """Build a graph from a kind name and its size parameters as strings.
+
+    The one check of a graph spec, for `gen` and for `experiment`'s grid
+    rows: ValueError for an unknown kind, a wrong parameter count, a
+    parameter of the wrong type ("gnp takes int, float size parameters") or
+    a value the generator refuses ("p must lie in [0, 1]").
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown graph kind {kind!r}")
     maker, types, seeded = KINDS[kind]
     if len(args) != len(types):
         raise ValueError(f"{kind} takes {len(types)} size parameters, got {len(args)}")
-    values = [convert(arg) for convert, arg in zip(types, args)]
+    try:
+        values = [convert(arg) for convert, arg in zip(types, args)]
+    except ValueError:
+        names = ", ".join(convert.__name__ for convert in types)
+        raise ValueError(f"{kind} takes {names} size parameters") from None
     return maker(*values, seed) if seeded else maker(*values)

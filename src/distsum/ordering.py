@@ -41,6 +41,7 @@ class OrderingCertificate(NamedTuple):
     resample_rounds: int
     seed: int
     valid: bool
+    radius: int                    # the radius the conditions were checked at
 
 
 def split_threshold(max_degree):
@@ -121,21 +122,21 @@ def check_conditions(g, weights, radius):
 
 def failing_vertices(checks):
     """The checked vertices with a condition that does not hold."""
-    return [v for v, res in checks.items()
-            if not all(ok is None or ok for ok in res)]
+    return [v for v, res in checks.items() if False in res]
 
 
 def resample_until_valid(g, radius, seed):
     """Sample weights and locally resample until all conditions hold.
 
-    A radius below palette's MIN_RADIUS runs as MIN_RADIUS.  A radius below 1
-    is refused (ValueError) before any weight is drawn, and one past the
-    float range (PaletteError) before any table is built.  Each round redraws the weights of every
-    vertex within distance 2 * radius of a failing vertex, then re-evaluates
-    every condition.  A condition reads only weights within distance radius
-    of its vertex, so only those near a redraw can change; condition_counts
-    recounts the whole graph either way.  At most DEFAULT_MAX_ROUNDS rounds
-    are run.  A single seeded generator drives all draws, so the certificate
+    A radius below palette's MIN_RADIUS runs as MIN_RADIUS, and the
+    certificate's radius is the one run.  A radius below 1 is refused
+    (ValueError) before any weight is drawn, and one past the float range
+    (PaletteError) before any table is built.  Each round evaluates every
+    condition, then, while some fail, redraws the weights of every vertex
+    within distance 2 * radius of a failing vertex.  A condition reads only
+    weights within distance radius of its vertex, so only those near a
+    redraw can change; condition_counts recounts the whole graph either
+    way.  At most DEFAULT_MAX_ROUNDS redraws are made.  A single seeded generator drives all draws, so the certificate
     is a pure function of (graph, radius, seed).
     """
     if radius < 1:
@@ -143,16 +144,14 @@ def resample_until_valid(g, radius, seed):
     radius = max(radius, MIN_RADIUS)
     rng = random.Random(seed)
     weights = {v: rng.random() for v in g.vertices()}
-    checks = check_conditions(g, weights, radius)
-    rounds = 0
-    failing = failing_vertices(checks)
-    while failing and rounds < DEFAULT_MAX_ROUNDS:
-        for v in sorted(ball(g, failing, 2 * radius)):
-            weights[v] = rng.random()
-        rounds += 1
+    for rounds in range(DEFAULT_MAX_ROUNDS + 1):    # rounds: redraws so far
         checks = check_conditions(g, weights, radius)
         failing = failing_vertices(checks)
+        if not failing or rounds == DEFAULT_MAX_ROUNDS:
+            break
+        for v in sorted(ball(g, failing, 2 * radius)):
+            weights[v] = rng.random()
 
     return OrderingCertificate(
         weights, derive_ordering(g, weights), split_threshold(g.max_degree),
-        checks, rounds, seed, valid=not failing)
+        checks, rounds, seed, valid=not failing, radius=radius)

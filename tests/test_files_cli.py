@@ -107,7 +107,8 @@ def test_readers_skip_comments_and_blank_lines():
         ["meta n=2 # run", "", "v 1 1", "v 2 2 # second", "E 1 2 3", "w 1 4  # derived"])
     assert meta == {"n": "2"}
     assert (col.vertex_colours, col.edge_colours) == ({1: 1, 2: 2}, {(1, 2): 3})
-    assert parse_grid_lines(["", "path 4 2 1  # four", "#"]) == [("path", ["4"], 2, 1)]
+    [(kind, size, radius, seed, g)] = parse_grid_lines(["", "path 4 2 1  # four", "#"])
+    assert (kind, size, radius, seed, g.edges) == ("path", ["4"], 2, 1, ((1, 2), (2, 3), (3, 4)))
 
 
 def test_graph_round_trip(tmp_path):
@@ -258,7 +259,7 @@ def test_radius_past_float_range_refused(tmp_path, capsys, command, spec, radius
 
 
 def test_experiment_radius_past_float_range_becomes_row():
-    rows = run_experiment([("regular-ish", ["130", "36"], 200, 1)])
+    rows = run_experiment(parse_grid_lines(["regular-ish 130 36 200 1"]))
     assert rows[1][-1] == "error:PaletteError"
 
 
@@ -451,7 +452,7 @@ def test_refused_run_exit_code_and_row(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert (code, text) == (2, "")
     assert len(err) == 1 and err[0].startswith("error: vertex ")
-    rows = run_experiment([("cycle", ["7"], 2, 1)])
+    rows = run_experiment(parse_grid_lines(["cycle 7 2 1"]))
     assert rows[1][-1] == "error:RunError"
 
 
@@ -503,34 +504,44 @@ def test_reader_quitting_early_exits_141(unbuffered):
 
 def test_parse_grid():
     grid = parse_grid_lines(["# demo", "gnp 30 0.1 2 4", "path 10 2 1"])
-    assert grid == [("gnp", ["30", "0.1"], 2, 4), ("path", ["10"], 2, 1)]
+    assert [row[:4] for row in grid] == [("gnp", ["30", "0.1"], 2, 4), ("path", ["10"], 2, 1)]
+    # each row carries the graph `gen` builds from the same spec and seed
+    assert [row[4].edges for row in grid] == [
+        generate.gnp(30, 0.1, 4).edges, generate.path(10).edges]
     with pytest.raises(FormatError):
         parse_grid_lines(["blob 3 2 1"])
     with pytest.raises(FormatError):
         parse_grid_lines(["gnp 30 2 1"])
 
 
+GRID_ROW_SYNTAX = "a grid row is <kind> <size params...> <r> <seed>, with integer r and seed"
+
+
 @pytest.mark.parametrize("lines,msg", [
-    (["path 4 2 1", "blob 3 2 1"], "line 2: unknown kind 'blob'"),
-    (["gnp 30 2 1"], "line 1: gnp takes 2 size parameters, r, seed"),
-    (["path 4 5 2 1"], "line 1: path takes 1 size parameters, r, seed"),
-    (["# grid", "path 4 x 1"], "line 2: path takes int size parameters, integer r and seed"),
-    (["path 4 2 1.5"], "line 1: path takes int size parameters, integer r and seed"),
-    (["gnp 30 x 2 1"], "line 1: gnp takes int, float size parameters, integer r and seed"),
+    (["path 4 2 1", "blob 3 2 1"], "line 2: unknown graph kind 'blob'"),
+    (["gnp 30 2 1"], "line 1: gnp takes 2 size parameters, got 1"),
+    (["path 4 5 2 1"], "line 1: path takes 1 size parameters, got 2"),
+    (["# grid", "path 4 x 1"], f"line 2: {GRID_ROW_SYNTAX}"),
+    (["path 4 2 1.5"], f"line 1: {GRID_ROW_SYNTAX}"),
+    (["path 4"], f"line 1: {GRID_ROW_SYNTAX}"),
+    (["gnp 30 x 2 1"], "line 1: gnp takes int, float size parameters"),
     (["gnp 30 0.1x 2 1"], "line 1: gnp takes int, float size parameters"),
+    (["gnp 30 1.5 2 1"], "line 1: p must lie in [0, 1]"),
+    (["path 4 2 1", "cycle 2 2 1"], "line 2: cycle needs n >= 3"),
 ], ids=["unknown-kind", "too-few", "too-many", "non-integer-r", "non-integer-seed",
-        "non-integer-size", "non-float-size"])
+        "no-seed", "non-integer-size", "non-float-size", "p-above-one", "short-cycle"])
 def test_parse_grid_errors(lines, msg):
-    with pytest.raises(FormatError, match=msg):
+    # the spec messages are generate.from_spec's own, as `gen` prints them
+    with pytest.raises(FormatError) as exc:
         parse_grid_lines(lines)
+    assert str(exc.value) == msg
 
 
 def test_experiment_cli_grid_error_names_line(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
-    grid.write_text("path 8 2 1\npath 4 x 1\n")
+    grid.write_text("path 8 2 1\npath x 2 1\n")
     assert run_cli(["experiment", "--grid", str(grid)]) == (2, "")
-    assert capsys.readouterr().err == (
-        "error: line 2: path takes int size parameters, integer r and seed\n")
+    assert capsys.readouterr().err == "error: line 2: path takes int size parameters\n"
 
 
 @pytest.mark.parametrize("row", ["path 5 0 1", "path 5 -2 1"], ids=["zero", "negative"])
@@ -543,8 +554,7 @@ def test_experiment_cli_refuses_radius_below_one(tmp_path, capsys, row):
 
 
 def test_experiment_rows_and_determinism(tmp_path):
-    grid = [("gnp", ["25", "0.12"], 2, 3), ("cycle", ["9"], 2, 1),
-            ("star", ["6"], 2, 2)]
+    grid = parse_grid_lines(["gnp 25 0.12 2 3", "cycle 9 2 1", "star 6 2 2"])
     rows = run_experiment(grid)
     assert len(rows) == 4
     assert rows[0][0] == "kind"
@@ -567,9 +577,13 @@ def test_experiment_cli(tmp_path):
     assert lines[0].split("\t")[0] == "kind"
 
 
-def test_experiment_bad_parameters_become_row():
-    rows = run_experiment([("cycle", ["2"], 2, 1)])
-    assert rows[1][-1].startswith("error:")
+def test_experiment_cli_refuses_bad_parameters(tmp_path, capsys):
+    # refused before any row runs, with its line, as `gen` refuses it
+    grid = tmp_path / "grid.txt"
+    grid.write_text("path 8 2 1\ngnp 30 1.5 2 1\n")
+    assert run_cli(["experiment", "--grid", str(grid)]) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 2: p must lie in [0, 1]"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -586,7 +600,8 @@ def test_gen_refuses_wrong_parameter_count(argv, capsys):
     (["gen", "star", "0"], "star needs at least one leaf"),
     (["gen", "gnp", "5", "1.5"], r"p must lie in \[0, 1\]"),
     (["gen", "regular-ish", "4", "4"], "need 1 <= d < n"),
-], ids=["star-no-leaf", "gnp-p-above-one", "regular-ish-d-equals-n"])
+    (["gen", "path", "x"], "path takes int size parameters"),
+], ids=["star-no-leaf", "gnp-p-above-one", "regular-ish-d-equals-n", "path-not-int"])
 def test_gen_refuses_bad_parameter_value(argv, msg, capsys):
     assert run_cli(argv) == (2, "")
     err = capsys.readouterr().err.splitlines()

@@ -163,7 +163,9 @@ def test_radius_past_float_range_refused_before_tables(monkeypatch, refuse):
 
 def test_resample_runs_radius_one_as_two(monkeypatch):
     g = regular_ish(60, 6, 1)
-    assert resample_until_valid(g, 1, 3) == resample_until_valid(g, 2, 3)
+    cert = resample_until_valid(g, 1, 3)
+    assert cert == resample_until_valid(g, 2, 3)
+    assert cert.radius == 2
     def no_draws(seed):
         raise AssertionError("weights drawn")
     monkeypatch.setattr(ordering, "random", SimpleNamespace(Random=no_draws))

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from distsum import cli, palette
+from distsum import palette
 from distsum.cli import _print_palette, main
 from distsum.palette import (PaletteError, PaletteParams, check_disjoint_shifts,
                              compute_params, headline_bound, shifted_set)
@@ -285,8 +285,8 @@ def test_palette_cli_refuses_bound_past_float_range(capsys):
 
 def test_palette_cli_refuses_bound_before_exact_arithmetic(monkeypatch, capsys):
     def exact_arithmetic(*args):
-        raise AssertionError("compute_params called")
-    monkeypatch.setattr(cli, "compute_params", exact_arithmetic)
+        raise AssertionError("exact step computed")
+    monkeypatch.setattr(palette, "_step_value", exact_arithmetic)
     assert main(["palette", "--delta", "1000", "--r", "1000"], out=io.StringIO()) == 2
     assert capsys.readouterr().err == "error: headline bound overflows a float at r=1000\n"
     # the bound's own domain check keeps compute_params' message
