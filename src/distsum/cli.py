@@ -143,12 +143,14 @@ EXPERIMENT_COLUMNS = ("kind", "params", "n", "m", "maxdeg", "r", "seed",
 def parse_grid_lines(lines):
     """Grid rows '<kind> <size params...> <r> <seed>', read by files.records.
 
-    Checks the grid's own syntax, integer r >= 1 and seed, and builds each
-    row's graph once with generate.from_spec, which checks the spec.  Any
-    refusal is a FormatError naming its line.  Returns (kind, size params,
-    r, seed, graph) rows.
+    A generator.  Before its first row it reads every line and checks the
+    grid's own syntax, integer r >= 1 and seed.  It then builds each row's
+    graph with generate.from_spec, which checks the spec, only when that
+    row is taken, so a graph and the tables it caches live no longer than
+    their row.  Any refusal is a FormatError naming its line.  Yields
+    (kind, size params, r, seed, graph) rows.
     """
-    grid = []
+    specs = []
     for lineno, fields in files.records(lines):
         try:
             kind, *size, radius, seed = fields
@@ -159,17 +161,19 @@ def parse_grid_lines(lines):
                 f"with integer r and seed") from None
         if radius < 1:
             raise files.FormatError(f"line {lineno}: radius must be >= 1")
+        specs.append((lineno, kind, size, radius, seed))
+    for lineno, kind, size, radius, seed in specs:
         try:
             g = generate.from_spec(kind, size, seed)
         except ValueError as exc:
             raise files.FormatError(f"line {lineno}: {exc}") from None
-        grid.append((kind, size, radius, seed, g))
-    return grid
+        yield kind, size, radius, seed, g
 
 
 def run_experiment(grid):
     """Run the full pipeline on each parse_grid_lines row; a run that fails
-    becomes an error row."""
+    becomes an error row.  A FormatError from the grid is raised from the
+    loop itself, so a refused row stops the run before any row is printed."""
     rows = [EXPERIMENT_COLUMNS]
     for kind, params_args, radius, seed, g in grid:
         try:
@@ -191,8 +195,7 @@ def run_experiment(grid):
 
 def _cmd_experiment(args, out):
     with open(args.grid, encoding="utf-8") as fh:
-        grid = parse_grid_lines(fh)
-    rows = run_experiment(grid)
+        rows = run_experiment(parse_grid_lines(fh))
     text = "\n".join("\t".join(str(cell) for cell in row) for row in rows) + "\n"
     _write(text, args.output, out)
     failures = sum(1 for row in rows[1:] if row[12] != "pass")

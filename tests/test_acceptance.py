@@ -178,8 +178,8 @@ def test_criterion_8_byte_determinism(tmp_path):
             pair.append(out.getvalue())
         if pair[0] != pair[1]:
             bad.append(kind)
-    grid = parse_grid_lines(["cycle 19 2 1", "gnp 30 0.2 2 4", "complete 7 3 0"])
-    if run_experiment(grid) != run_experiment(grid):
+    grid = ["cycle 19 2 1", "gnp 30 0.2 2 4", "complete 7 3 0"]
+    if run_experiment(parse_grid_lines(grid)) != run_experiment(parse_grid_lines(grid)):
         bad.append("experiment")
     _report(8, "byte determinism", not bad,
             "bad: %r" % bad if bad else "4 colourings + experiment table, 2 runs each")

@@ -503,15 +503,32 @@ def test_reader_quitting_early_exits_141(unbuffered):
 
 
 def test_parse_grid():
-    grid = parse_grid_lines(["# demo", "gnp 30 0.1 2 4", "path 10 2 1"])
+    grid = list(parse_grid_lines(["# demo", "gnp 30 0.1 2 4", "path 10 2 1"]))
     assert [row[:4] for row in grid] == [("gnp", ["30", "0.1"], 2, 4), ("path", ["10"], 2, 1)]
     # each row carries the graph `gen` builds from the same spec and seed
     assert [row[4].edges for row in grid] == [
         generate.gnp(30, 0.1, 4).edges, generate.path(10).edges]
     with pytest.raises(FormatError):
-        parse_grid_lines(["blob 3 2 1"])
+        list(parse_grid_lines(["blob 3 2 1"]))
     with pytest.raises(FormatError):
-        parse_grid_lines(["gnp 30 2 1"])
+        list(parse_grid_lines(["gnp 30 2 1"]))
+
+
+def test_grid_checks_syntax_first_and_builds_each_graph_at_its_row():
+    # every line's syntax is checked before the first row is handed out
+    rows = parse_grid_lines(["path 4 2 1", "path 4 x 1"])
+    with pytest.raises(FormatError, match="^line 2: a grid row is"):
+        next(rows)
+    # a spec the generator refuses is found when its row is taken
+    rows = parse_grid_lines(["path 4 2 1", "cycle 2 2 1", "path 5 2 1"])
+    assert next(rows)[4].n == 4
+    with pytest.raises(FormatError, match="^line 2: cycle needs n >= 3$"):
+        next(rows)
+    # and a row's graph is not kept once the next row is taken
+    rows = parse_grid_lines(["path 4 2 1", "path 5 2 1"])
+    first = next(rows)[4]
+    assert next(rows)[4].n == 5
+    assert sys.getrefcount(first) == 2  # `first` and the call's argument
 
 
 GRID_ROW_SYNTAX = "a grid row is <kind> <size params...> <r> <seed>, with integer r and seed"
@@ -533,7 +550,7 @@ GRID_ROW_SYNTAX = "a grid row is <kind> <size params...> <r> <seed>, with intege
 def test_parse_grid_errors(lines, msg):
     # the spec messages are generate.from_spec's own, as `gen` prints them
     with pytest.raises(FormatError) as exc:
-        parse_grid_lines(lines)
+        list(parse_grid_lines(lines))
     assert str(exc.value) == msg
 
 
@@ -554,12 +571,13 @@ def test_experiment_cli_refuses_radius_below_one(tmp_path, capsys, row):
 
 
 def test_experiment_rows_and_determinism(tmp_path):
-    grid = parse_grid_lines(["gnp 25 0.12 2 3", "cycle 9 2 1", "star 6 2 2"])
-    rows = run_experiment(grid)
+    lines = ["gnp 25 0.12 2 3", "cycle 9 2 1", "star 6 2 2"]
+    rows = run_experiment(parse_grid_lines(lines))
     assert len(rows) == 4
     assert rows[0][0] == "kind"
     assert all(row[-1] == "pass" for row in rows[1:])
-    assert run_experiment(grid) == rows
+    # a second run builds its graphs afresh from the same specs
+    assert run_experiment(parse_grid_lines(lines)) == rows
 
 
 def test_experiment_empty_grid():
@@ -578,7 +596,7 @@ def test_experiment_cli(tmp_path):
 
 
 def test_experiment_cli_refuses_bad_parameters(tmp_path, capsys):
-    # refused before any row runs, with its line, as `gen` refuses it
+    # refused with its line, as `gen` refuses it, and no row is printed
     grid = tmp_path / "grid.txt"
     grid.write_text("path 8 2 1\ngnp 30 1.5 2 1\n")
     assert run_cli(["experiment", "--grid", str(grid)]) == (2, "")
