@@ -10,6 +10,11 @@ A command parses its arguments, calls the pipeline and prints.  The
 modules it calls check their own inputs: generate.from_spec a graph spec,
 for gen and for each experiment grid row; palette.compute_params the
 (delta, r) bound; and the ordering certificate states the radius it ran.
+
+color keeps the run's records (its RunTrace and OrderingCertificate) only
+until it has read them: it drops them before it formats the colouring,
+formatting the --emit-trace text first, and then writes the colouring and
+the trace, in that order.
 """
 
 from __future__ import annotations
@@ -78,34 +83,42 @@ def _cmd_order(args, out):
     return 0
 
 
-def _colouring_meta(g, radius, seed, params, trace):
-    return {
-        "n": g.n, "m": g.m, "maxdeg": g.max_degree, "r": radius,
+def _format_trace(trace, cert):
+    lines = [f"trace vertex_steps={len(trace.steps)} "
+             f"fallbacks={trace.fallback_count} "
+             f"ordering_valid={str(cert.valid).lower()}\n"]
+    lines += [f"note {note}\n" for note in trace.notes]
+    for rec in trace.steps:
+        deltas = ";".join(f"{u},{v}:{d:+d}" for (u, v), d in rec.edge_deltas)
+        comps = ";".join(f"{u}:{d:+d}" for u, d in rec.compensations)
+        lines.append(f"step v={rec.vertex} colour={rec.base_colour} "
+                     f"sum={rec.target_sum} options={rec.admissible_count}"
+                     f"x{rec.lattice_size} backward={rec.backward_r_count} "
+                     f"edges=[{deltas}] comps=[{comps}]\n")
+    return "".join(lines)
+
+
+def _colour_run(g, args):
+    """recolour.run, kept to what color writes: the colouring, its meta line's
+    fields and, with --emit-trace, the trace text.  The run's RunTrace and
+    OrderingCertificate die with this frame, before color formats anything."""
+    colouring, trace, cert = recolour.run(g, args.r, args.seed)
+    params = colouring.params
+    meta = {
+        "n": g.n, "m": g.m, "maxdeg": g.max_degree, "r": args.r,
         "step": params.step, "modulus": params.modulus,
         "palette_max": params.palette_max,
-        "fallbacks": trace.fallback_count, "seed": seed,
+        "fallbacks": trace.fallback_count, "seed": args.seed,
     }
+    return colouring, meta, _format_trace(trace, cert) if args.emit_trace else None
 
 
 def _cmd_color(args, out):
     g = files.parse_graph(args.input)
-    colouring, trace, cert = recolour.run(g, args.r, args.seed)
-    meta = _colouring_meta(g, args.r, args.seed, colouring.params, trace)
+    colouring, meta, trace_text = _colour_run(g, args)
     _write(files.format_colouring(g, colouring, meta), args.output, out)
-    if args.emit_trace:
-        with open(args.emit_trace, "w", encoding="utf-8") as fh:
-            fh.write(f"trace vertex_steps={len(trace.steps)} "
-                     f"fallbacks={trace.fallback_count} "
-                     f"ordering_valid={str(cert.valid).lower()}\n")
-            for note in trace.notes:
-                fh.write(f"note {note}\n")
-            for rec in trace.steps:
-                deltas = ";".join(f"{u},{v}:{d:+d}" for (u, v), d in rec.edge_deltas)
-                comps = ";".join(f"{u}:{d:+d}" for u, d in rec.compensations)
-                fh.write(f"step v={rec.vertex} colour={rec.base_colour} "
-                         f"sum={rec.target_sum} options={rec.admissible_count}"
-                         f"x{rec.lattice_size} backward={rec.backward_r_count} "
-                         f"edges=[{deltas}] comps=[{comps}]\n")
+    if trace_text is not None:
+        _write(trace_text, args.emit_trace, out)
     return 0
 
 

@@ -52,9 +52,10 @@ def split_threshold(max_degree):
     return math.log(max_degree) / max_degree ** (1.0 / 3.0)
 
 
-def derive_ordering(g, weights):
-    # stable, from ascending ids: ties keep id order
-    return sorted(g.vertices(), key=weights.__getitem__)
+def derive_ordering(weights):
+    # stable, from ascending ids: ties keep id order.  The ids are the weights'
+    # own keys, so the ordering shares their int objects instead of copying them
+    return sorted(sorted(weights), key=weights.__getitem__)
 
 
 def checkable_vertices(g, stats):
@@ -82,7 +83,7 @@ def condition_counts(g, weights, radius):
     headline_bound(max(g.max_degree, MIN_DEGREE), radius)
     tau = split_threshold(g.max_degree)
     balls = all_r_neighbourhoods(g, radius)
-    back_r, back_big = backward_stats(g, derive_ordering(g, weights), balls)
+    back_r, back_big = backward_stats(g, derive_ordering(weights), balls)
     low = sum(1 << v for v in g.vertices() if weights[v] < tau)     # distinct bits
     return {v: ((low & balls[v]).bit_count(), back_big[v], back_r[v])
             for v in checkable_vertices(g, degree_stats(g))}
@@ -136,8 +137,9 @@ def resample_until_valid(g, radius, seed):
     within distance 2 * radius of a failing vertex.  A condition reads only
     weights within distance radius of its vertex, so only those near a
     redraw can change; condition_counts recounts the whole graph either
-    way.  At most DEFAULT_MAX_ROUNDS redraws are made.  A single seeded generator drives all draws, so the certificate
-    is a pure function of (graph, radius, seed).
+    way.  At most DEFAULT_MAX_ROUNDS redraws are made.  A single seeded
+    generator drives all draws, so the certificate is a pure function of
+    (graph, radius, seed).
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -153,5 +155,5 @@ def resample_until_valid(g, radius, seed):
             weights[v] = rng.random()
 
     return OrderingCertificate(
-        weights, derive_ordering(g, weights), split_threshold(g.max_degree),
+        weights, derive_ordering(weights), split_threshold(g.max_degree),
         checks, rounds, seed, valid=not failing, radius=radius)

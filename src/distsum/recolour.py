@@ -55,6 +55,7 @@ stopped in.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from typing import NamedTuple
 
@@ -81,12 +82,15 @@ class StepLog:
     fields but the two lists), each shifted edge as u, v, delta in `edges`,
     each compensation as u, delta in `comps`, and where each step's runs end
     in `edge_ends` and `comp_ends`.  Indexing and iteration build
-    StepRecords.  Plain lists: colours pass 2**63 at large r."""
+    StepRecords.  The ends are offsets into `edges` and `comps`, so they are
+    machine ints, array("q"); the other three stay plain lists, since
+    colours and shifts pass 2**63 at large r."""
 
     __slots__ = ("scalars", "edges", "edge_ends", "comps", "comp_ends")
 
     def __init__(self):
-        self.scalars, self.edges, self.edge_ends, self.comps, self.comp_ends = [], [], [], [], []
+        self.scalars, self.edges, self.comps = [], [], []
+        self.edge_ends, self.comp_ends = array("q"), array("q")
 
     def __len__(self):
         return len(self.edge_ends)

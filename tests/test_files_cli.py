@@ -5,15 +5,16 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
 from distsum import (GraphError, TotalColouring, build_graph, cli, exact, files, generate,
-                     run, verify)
+                     recolour, run, verify)
 from distsum.base_colouring import base_total_colouring
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
-from distsum.recolour import RunTrace, StepRecord, replay
+from distsum.recolour import RunTrace, StepLog, StepRecord, replay
 
 from conftest import forbid_every_base, src_env, write_lines
 
@@ -363,6 +364,53 @@ def test_emit_trace(tmp_path):
     assert trace[0].startswith("trace vertex_steps=5")
     assert sum(1 for line in trace if line.startswith("step ")) == 5
     assert not any(line.startswith("note ") for line in trace)
+
+
+class _WeakStepLog(StepLog):
+    __slots__ = ("__weakref__",)
+
+
+class _WeakDict(dict):
+    pass
+
+
+@pytest.mark.parametrize("emit_trace", [False, True], ids=["plain", "emit-trace"])
+def test_color_drops_run_records_before_formatting(tmp_path, monkeypatch, emit_trace):
+    # recolour.run hands back weak-referenceable stand-ins for the step log
+    # and the certificate's weights; both are gone by the time color formats
+    # its colouring, and the files it writes are the unwrapped run's
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "regular-ish", "60", "6", "--seed", "1", "--output", str(gpath)])
+
+    def color(tag):
+        cpath, tpath = tmp_path / f"c-{tag}.txt", tmp_path / f"t-{tag}.txt"
+        argv = ["color", "--input", str(gpath), "--r", "3", "--seed", "1",
+                "--output", str(cpath)]
+        code, text = run_cli(argv + ["--emit-trace", str(tpath)] if emit_trace else argv)
+        assert code == 0 and text == ""
+        return cpath.read_bytes(), tpath.read_bytes() if emit_trace else None
+
+    expected = color("plain")
+    real_run, real_format = recolour.run, files.format_colouring
+    refs, alive = [], []
+
+    def tracked_run(*args):
+        col, trace, cert = real_run(*args)
+        steps = _WeakStepLog()
+        for field in StepLog.__slots__:
+            setattr(steps, field, getattr(trace.steps, field))
+        trace, cert = trace._replace(steps=steps), cert._replace(weights=_WeakDict(cert.weights))
+        refs[:] = weakref.ref(steps), weakref.ref(cert.weights)
+        return col, trace, cert
+
+    def checked_format(*args):
+        alive.append([ref() is not None for ref in refs])
+        return real_format(*args)
+
+    monkeypatch.setattr(recolour, "run", tracked_run)
+    monkeypatch.setattr(files, "format_colouring", checked_format)
+    assert color("wrapped") == expected
+    assert alive == [[False, False]]
 
 
 _STEP_LINE = re.compile(r"step v=(\d+) colour=(\d+) sum=(\d+) options=(\d+)x(\d+) "

@@ -3,6 +3,7 @@ import json
 import operator
 import random
 import time
+from array import array
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -407,13 +408,26 @@ def test_step_log_builds_each_record_from_its_own_runs():
     big = 2 ** 70
     log = StepLog()
     log.scalars += (4, 1, 9, 7, 1, 0, 2, big, big + 5, 6, 9, 1)
-    log.edge_ends += (0, 6)
-    log.comp_ends += (0, 2)
+    log.edge_ends += array("q", (0, 6))
+    log.comp_ends += array("q", (0, 2))
     log.edges += (1, 2, 3, 2, 4, -big)
     log.comps += (4, big)
     assert list(log) == [
         StepRecord(4, 1, 9, [], [], 7, 1, 0),
         StepRecord(2, big, big + 5, [((1, 2), 3), ((2, 4), -big)], [(4, big)], 6, 9, 1)]
+
+
+def test_step_log_ends_are_machine_ints():
+    # the ends are offsets into the log, so they fit a machine int; a checked
+    # run's log still replays to its colouring, the checks finding nothing
+    g = random_graph(30, 0.15, 4)
+    col, trace, _ = run(g, 3, 4, check_invariants=True)
+    assert trace.steps.edge_ends.typecode == trace.steps.comp_ends.typecode == "q"
+    assert StepLog().edge_ends.typecode == StepLog().comp_ends.typecode == "q"
+    assert not trace.invariant_violations and trace.steps == run(g, 3, 4)[1].steps
+    replayed = replay(g, trace)
+    assert replayed.vertex_colours == col.vertex_colours
+    assert replayed.edge_colours == col.edge_colours
 
 
 def test_rejects_bad_radius(p3):
