@@ -1,8 +1,9 @@
 """Command-line harness.
 
 Subcommands: palette, gen, order, color, verify, exact, experiment.
-Exit codes: 0 success, 1 verification failure, 2 usage or input error or a
-refused run (RunError, or an exact search past its trial budget), 141
+Exit codes: 0 success, 1 verification failure, 2 usage or input error, a
+refused run (RunError, an r-ball table past graphs.MAX_TABLE_BYTES, or an
+exact search past its trial budget) or a run out of memory, 141
 stdout closed early by its reader (as after SIGPIPE), with nothing written
 to stderr.
 
@@ -305,6 +306,9 @@ def main(argv=None, out=None):
     # FormatError, GraphError, PaletteError, IncompleteColouringError: ValueErrors
     except (ValueError, recolour.RunError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:     # its own message is often empty
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -21,11 +21,13 @@ that every line of a block is a record as the writer prints it, and
 `str.split` and slicing take the block apart into columns.  A column's
 fields are looked up in a table of "0".."1023", as the files repeat their
 ids and few colours; a column with a field past it is converted by int().
-A file in any other form (comments, blank lines, tabs, reversed or unsorted
-edges, a repeated or malformed record) is read again from its start by
-`parse_graph_lines` / `parse_colouring_lines`.  Either way every valid file
-gives the same result and every malformed one the same error message, line
-number included.
+The graph reader checks no edge itself: it hands its edges, in any order
+and either end first, to `build_graph`.  A file in any other form
+(comments, blank lines, tabs, a colouring's reversed or reordered records,
+a repeated or malformed record, an edge count unlike the header's) is read
+again from its start by `parse_graph_lines` / `parse_colouring_lines`.
+Either way every valid file gives the same result and every malformed one
+the same error message, line number included.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import islice
 from operator import lt
 
 from .colouring import TotalColouring
-from .graphs import Graph, GraphError, build_graph, edge_key
+from .graphs import GraphError, build_graph, edge_key
 
 
 class FormatError(ValueError):
@@ -117,27 +119,27 @@ def _blocks(fh):
 
 
 def _graph_in_blocks(fh):
-    """The graph in `fh` if it is written exactly as format_graph writes
-    one (edges ascending, each as (u, v) with u < v), else None."""
+    """The graph in `fh` if its lines are spaced as format_graph writes
+    them and build_graph takes its edges (in any order, either end first),
+    else None."""
     header = re.fullmatch(_HEADER, fh.readline())
     if header is None:
         return None
     n, m = int(header[1]), int(header[2])
-    us, vs = [], []
+    edges = []
     for block in _blocks(fh):
         if re.fullmatch(_EDGE_BLOCK, block) is None:
             return None
         fields = block.split()
-        us += _ints(fields[1::3])
-        vs += _ints(fields[2::3])
-    edges = tuple(zip(us, vs))
-    # edges strictly ascending, each with u < v: no self-loop, no edge
-    # twice, and us[0] is the least endpoint, max(vs) the greatest
-    if (len(edges) != m or m and (us[0] < 1 or max(vs) > n)
-            or not all(map(lt, us, vs))
-            or not all(map(lt, edges, islice(edges, 1, None)))):
+        del fields[::3]                 # the "e" tags
+        ends = iter(_ints(fields))
+        edges += zip(ends, ends)
+    if len(edges) != m:
         return None
-    return Graph(n, edges)
+    try:
+        return build_graph(n, edges)
+    except GraphError:
+        return None
 
 
 def _read(pathname, in_blocks, by_lines):

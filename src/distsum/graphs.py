@@ -10,8 +10,8 @@ distance r, is an AND and a bit count.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
-from operator import or_
+from itertools import chain, islice, starmap
+from operator import itemgetter, lt, or_
 from typing import NamedTuple
 
 
@@ -34,8 +34,10 @@ def edge_key(u, v):
 class Graph:
     """Simple undirected graph with neighbour tuples and max degree, built
     from n and the sorted edges alone: no caller passes neighbour lists.
-    Appending both ends of each edge in edge order makes each adjacency[v]
-    the ascending tuple of v's neighbours (index 0 empty), with no sort.
+    `build_graph` is its one constructor in distsum, and checks the edges
+    first; Graph itself checks nothing.  Appending both ends of each edge
+    in edge order makes each adjacency[v] the ascending tuple of v's
+    neighbours (index 0 empty), with no sort.
 
     Attributes:
         n: vertex count, vertices are 1..n
@@ -77,13 +79,30 @@ class Graph:
 
 
 def build_graph(n, edges):
-    """Validate an edge list and build a Graph.
+    """Validate an edge list and build a Graph: the one constructor of a Graph
+    in distsum, for the generators and both graph-file readers.
 
-    Raises GraphError (with the offending edge index) on self-loops,
-    duplicate edges or endpoints outside 1..n.
+    A list of (u, v) tuples that is strictly ascending, each with u < v and
+    every endpoint in 1..n, is taken whole by C-level bulk checks: no pair
+    below another, so no edge twice and no self-loop; the first u is the
+    least endpoint and the largest v the greatest.  Any other list (reversed
+    ends, another order, a fault) takes the per-edge loop, which canonicalises
+    each edge and raises GraphError (with the offending edge index) on
+    self-loops, duplicate edges or endpoints outside 1..n.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
+    edges = tuple(edges)
+    try:
+        taken = (not edges
+                 or (all(starmap(lt, edges))
+                     and all(map(lt, edges, islice(edges, 1, None)))
+                     and {*map(type, edges)} == {tuple}
+                     and edges[0][0] >= 1 and max(map(itemgetter(1), edges)) <= n))
+    except TypeError:       # not pairs of numbers: the loop says what is wrong
+        taken = False
+    if taken:
+        return Graph(n, edges)
     seen = {}      # canonical keys in input order: sorted input sorts in linear time
     for idx, (u, v) in enumerate(edges):
         if not (1 <= u <= n) or not (1 <= v <= n):
@@ -123,6 +142,20 @@ class Ball(int):
     __len__ = int.bit_count
 
 
+# The most bytes an r-ball table may take: n bitmasks of n bits, about
+# n**2 / 8 bytes, so n up to about 92,700.  Read at each call.
+MAX_TABLE_BYTES = 2**30
+
+
+def check_table_size(n):
+    """Refuse (ValueError) an r-ball table on n vertices past MAX_TABLE_BYTES,
+    before any of it is built."""
+    estimate = n * n // 8
+    if estimate > MAX_TABLE_BYTES:
+        raise ValueError(f"an r-ball table on {n} vertices needs about {estimate} "
+                         f"bytes, past the limit of {MAX_TABLE_BYTES}")
+
+
 def all_r_neighbourhoods(g, radius):
     """Per-vertex r-neighbourhoods as Ball bitmasks, indexed by vertex id
     (index 0 is empty).
@@ -130,13 +163,15 @@ def all_r_neighbourhoods(g, radius):
     r rounds of B_k(v) = B_{k-1}(v) | OR of B_{k-1}(u) over u in N(v),
     from B_0(v) = {v}, stopping early once no ball grows; bit v is then
     cleared, so v is not its own r-neighbour.  Built once per
-    (graph, radius) and cached on the graph.
+    (graph, radius) and cached on the graph; refused by check_table_size
+    before it is built.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     key = ("r_neighbourhoods", radius)
     table = g._tables.get(key)
     if table is None:
+        check_table_size(g.n)
         closed = _closed_balls(g, radius)
         table = (Ball(0),) + tuple(Ball(closed[v] ^ 1 << v) for v in g.vertices())
         g._tables[key] = table

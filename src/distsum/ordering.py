@@ -132,7 +132,8 @@ def resample_until_valid(g, radius, seed):
     A radius below palette's MIN_RADIUS runs as MIN_RADIUS, and the
     certificate's radius is the one run.  A radius below 1 is refused
     (ValueError) before any weight is drawn, and one past the float range
-    (PaletteError) before any table is built.  Each round evaluates every
+    (PaletteError) before any table is built, as is an r-ball table past
+    graphs.MAX_TABLE_BYTES (ValueError).  Each round evaluates every
     condition, then, while some fail, redraws the weights of every vertex
     within distance 2 * radius of a failing vertex.  A condition reads only
     weights within distance radius of its vertex, so only those near a

@@ -334,7 +334,8 @@ def run(g, radius, seed, check_invariants=False):
     edge colouring, recolouring steps and, if asked, the final checks.
 
     Returns (TotalColouring, RunTrace, OrderingCertificate); raises RunError
-    when a step finds no free target sum, ValueError below radius 1, and
+    when a step finds no free target sum, ValueError below radius 1 or for
+    an r-ball table past graphs.MAX_TABLE_BYTES, before it is built, and
     PaletteError, before any exact arithmetic, when the headline bound at the
     max degree and radius, each raised to palette's floor (MIN_DEGREE,
     MIN_RADIUS), overflows a float.  The steps read the r-ball table built

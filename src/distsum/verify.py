@@ -10,7 +10,8 @@ u in N(v), from B_0(v) = {v}.  The vertices holding each weighted degree
 form one bitmask too, so the later vertices within the radius that share
 v's sum are that mask AND v's ball, shifted past v; they are noted as
 equal-sums witnesses (v, u) in ascending u.  With n distinct sums there
-is no pair at any radius, and no ball table is built.
+is no pair at any radius, and no ball table is built; a table past
+graphs.MAX_TABLE_BYTES is refused (ValueError) before it is built.
 
 The incidence check costs O(m): one pass over each vertex's incident edge
 colours, which also sums its weighted degree.  Only a vertex whose colours
@@ -30,7 +31,7 @@ from itertools import combinations
 from operator import or_
 from typing import NamedTuple
 
-from .graphs import edge_key
+from .graphs import check_table_size, edge_key
 
 
 class IncompleteColouringError(ValueError):
@@ -107,6 +108,7 @@ def verify(g, colouring, radius, bound=None):
     for v in g.vertices():
         by_sum[sums[v]] |= 1 << v
     if len(by_sum) < g.n:           # two vertices share a sum
+        check_table_size(g.n)
         balls = _closed_balls(g.adjacency, radius)
         for v in g.vertices():
             # bit i of near: vertex v + 1 + i is within r of v and shares v's sum

@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 from distsum import (GraphError, TotalColouring, build_graph, cli, exact, files, generate,
-                     recolour, run, verify)
+                     graphs, recolour, run, verify)
 from distsum.base_colouring import base_total_colouring
 from distsum.cli import main, parse_grid_lines, run_experiment
 from distsum.files import FormatError, parse_colouring_lines, parse_graph_lines
@@ -502,6 +502,37 @@ def test_refused_run_exit_code_and_row(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error: vertex ")
     rows = run_experiment(parse_grid_lines(["cycle 7 2 1"]))
     assert rows[1][-1] == "error:RunError"
+
+
+def test_table_past_limit_exit_code_and_row(tmp_path, monkeypatch, capsys):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    run_cli(["gen", "path", "40", "--output", str(gpath)])
+    g = generate.path(40)
+    same = TotalColouring({v: 1 for v in g.vertices()}, {e: 2 for e in g.edges})
+    cpath.write_text(files.format_colouring(g, same, {"n": g.n}))
+    capsys.readouterr()
+    monkeypatch.setattr(graphs, "MAX_TABLE_BYTES", 199)
+    msg = ("error: an r-ball table on 40 vertices needs about 200 bytes, "
+           "past the limit of 199\n")
+    for argv in (["color", "--seed", "1"], ["order", "--seed", "1"],
+                 ["verify", "--colouring", str(cpath)]):
+        assert run_cli([*argv, "--input", str(gpath), "--r", "2"]) == (2, "")
+        assert capsys.readouterr().err == msg
+    rows = run_experiment(parse_grid_lines(["path 40 2 1"]))
+    assert rows[1][-1] == "error:ValueError"
+
+
+def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "path", "4", "--output", str(gpath)])
+    capsys.readouterr()
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(recolour, "run", exhausted)
+    assert run_cli(["color", "--input", str(gpath), "--r", "2", "--seed", "1"]) == (2, "")
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -1,3 +1,4 @@
+import importlib
 import random
 import sys
 import threading
@@ -5,8 +6,11 @@ from bisect import bisect_right
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from distsum import GraphError, build_graph, degree_stats, generate
+from distsum import (GraphError, TotalColouring, build_graph, degree_stats, generate,
+                     graphs, resample_until_valid, run, verify)
 from distsum.graphs import all_r_neighbourhoods, backward_stats, ball
 
 from conftest import apsp, component_graph, golden_graphs, random_graph
@@ -38,6 +42,77 @@ def test_build_error_carries_edge_index():
     with pytest.raises(GraphError, match=r"^edge 1: duplicate edge \(1, 2\)$") as info:
         build_graph(3, [(1, 2), (2, 1)])
     assert (info.value.edge, info.value.reason) == (1, "duplicate edge (1, 2)")
+
+
+def _reference_build(n, edges):
+    """build_graph's rule, edge by edge in input order: (edges, adjacency,
+    max degree) of the graph, or ("error", index, reason) of the first fault."""
+    seen = set()
+    for idx, (u, v) in enumerate(edges):
+        if not (1 <= u <= n and 1 <= v <= n):
+            return ("error", idx, f"endpoint out of range in ({u}, {v})")
+        if u == v:
+            return ("error", idx, f"self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return ("error", idx, f"duplicate edge {key}")
+        seen.add(key)
+    adjacency = [()] + [tuple(sorted({u + v - w for u, v in seen if w in (u, v)}))
+                        for w in range(1, n + 1)]
+    return tuple(sorted(seen)), adjacency, max(map(len, adjacency))
+
+
+ORDERS = ["sorted", "reversed", "shuffled", "swapped", "lists"]
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): a simple graph's edges in one of ORDERS, then with up to
+    three faults (a repeat, a loop, an endpoint out of range) put in."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    order = draw(st.sampled_from(ORDERS))
+    if order == "reversed":
+        edges.reverse()
+    elif order == "shuffled":
+        edges = draw(st.permutations(edges))
+    elif order == "swapped":
+        edges = [(v, u) for u, v in edges]
+    elif order == "lists":
+        edges = [[u, v] for u, v in edges]
+    vertex = st.integers(1, max(n, 1))
+    for fault in draw(st.lists(st.sampled_from(["duplicate", "loop", "range"]),
+                               max_size=3)):
+        if fault == "duplicate" and edges:
+            u, v = draw(st.sampled_from(edges))
+            bad = draw(st.sampled_from([(u, v), (v, u)]))
+        elif fault == "loop":
+            w = draw(vertex)
+            bad = (w, w)
+        else:
+            outside = draw(st.sampled_from([-1, 0, n + 1, n + 2]))
+            bad = draw(st.sampled_from([(outside, draw(vertex)), (draw(vertex), outside)]))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=edge_lists())
+def test_build_graph_matches_per_edge_reference(case):
+    n, edges = case
+    try:
+        g = build_graph(n, edges)
+    except GraphError as exc:
+        got = ("error", exc.edge, exc.reason)
+    else:
+        got = g.edges, g.adjacency, g.max_degree
+    assert got == _reference_build(n, edges)
+
+
+def test_build_takes_sorted_tuple_whole():
+    edges = ((1, 2), (1, 3), (2, 3))
+    assert build_graph(3, edges).edges is edges
 
 
 def _shuffled_swapped(n, p, seed):
@@ -293,3 +368,37 @@ def test_concurrent_readers_get_complete_tables():
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 8
     assert _as_tuples(all_r_neighbourhoods(g, 2)) == expected[0]
+
+
+# the package's `verify` names the function; the test patches the module
+verify_module = importlib.import_module("distsum.verify")
+
+
+def _same_sums(g):
+    """A colouring of g in which many vertices within distance 2 share a sum,
+    so verify needs its own ball table."""
+    return TotalColouring({v: 1 for v in g.vertices()}, {e: 2 for e in g.edges})
+
+
+def test_table_past_limit_refused_before_it_is_built(monkeypatch):
+    g = generate.path(40)               # a table of about 40**2 // 8 = 200 bytes
+    monkeypatch.setattr(graphs, "MAX_TABLE_BYTES", 199)
+
+    def build(*args):
+        raise AssertionError("an r-ball table was built past the limit")
+
+    monkeypatch.setattr(graphs, "_closed_balls", build)
+    monkeypatch.setattr(verify_module, "_closed_balls", build)
+    msg = "^an r-ball table on 40 vertices needs about 200 bytes, past the limit of 199$"
+    for call in (lambda: run(g, 2, 1), lambda: resample_until_valid(g, 2, 1),
+                 lambda: verify(g, _same_sums(g), 2)):
+        with pytest.raises(ValueError, match=msg):
+            call()
+
+
+def test_table_at_limit_built(monkeypatch):
+    g = generate.path(40)
+    monkeypatch.setattr(graphs, "MAX_TABLE_BYTES", 200)
+    colouring, _, _ = run(g, 2, 1)
+    assert verify(g, colouring, 2).passed
+    assert ("equal-sums", (2, 4)) in verify(g, _same_sums(g), 2).violations
